@@ -117,7 +117,18 @@ def parse_config(source) -> RunConfig:
             continue
         values[key] = val
     values["initial"] = _parse_initial(obj.get("initial"), kernel.d)
+    for i, x in enumerate(obj.get("offsets", [])):
+        _check_site(f"offsets[{i}]", x, kernel.d)
+    for key in ("a", "b"):
+        if key in obj:
+            _check_site(key, obj[key], kernel.d)
     return RunConfig(kernel=kernel, raw=obj, values=values)
+
+
+def _check_site(name, x, d):
+    if not (isinstance(x, list) and len(x) == d
+            and all(type(c) is int for c in x)):
+        raise ConfigError(f"{name} must be a list of {d} integers, got {x!r}")
 
 
 def _parse_kernel(obj) -> Kernel:
@@ -347,10 +358,10 @@ _COMMANDS = {
 
 
 def dispatch(subcommand, cfg: RunConfig) -> int:
-    try:
-        return _COMMANDS[subcommand](cfg)
-    except KeyError:
+    command = _COMMANDS.get(subcommand)
+    if command is None:
         raise ConfigError(f"unknown subcommand {subcommand!r}")
+    return command(cfg)
 
 
 def main(argv=None):
@@ -374,7 +385,12 @@ def main(argv=None):
         if args.threads is not None:
             cfg.values["threads"] = args.threads
         elif "LINSYS_THREADS" in os.environ:
-            cfg.values["threads"] = int(os.environ["LINSYS_THREADS"])
+            env = os.environ["LINSYS_THREADS"]
+            try:
+                cfg.values["threads"] = int(env)
+            except ValueError:
+                raise ConfigError(
+                    f"LINSYS_THREADS must be an integer, got {env!r}")
         if args.output_dir is not None:
             cfg.values["output_dir"] = args.output_dir
         return dispatch(args.subcommand, cfg)

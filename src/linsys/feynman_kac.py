@@ -512,15 +512,13 @@ class _HFieldCache:
     of this field; the importance weights are exact for any field.
     """
 
-    def __init__(self, kernel, radius=40):
+    def __init__(self, walk: WalkSpec, radius=40):
         from . import walk as walk_mod
 
-        if kernel.d < 3:
+        if walk.d < 3:
             raise FeynmanKacError("tilted estimator requires d >= 3")
-        mom = kernel_moments(kernel)
-        self.kappa2 = mom.kappa2
-        walk = walk_from_kernel(kernel)
-        self.d = d = kernel.d
+        self.kappa2 = walk.kappa2
+        self.d = d = walk.d
         self.radius = R = int(radius)
         refs = [tuple([0] * d), (1,) + (0,) * (d - 1), (3,) + (0,) * (d - 1)]
         qtab = walk_mod.green(walk, offsets=refs)
@@ -559,14 +557,16 @@ class _HFieldCache:
         return out
 
 
+# keyed by everything the field is built from, so equal kernels parsed
+# separately share one field and no other kernel can hit it
 _H_FIELDS = {}
 
 
-def _h_field(kernel, radius=40):
-    key = (id(kernel), radius)
+def _h_field(walk: WalkSpec, radius=40):
+    key = (walk.d, tuple(sorted(walk.rates.items())), walk.kappa2, int(radius))
     field = _H_FIELDS.get(key)
     if field is None:
-        field = _HFieldCache(kernel, radius)
+        field = _HFieldCache(walk, radius)
         _H_FIELDS[key] = field
     return field
 
@@ -578,13 +578,17 @@ def fk3_limit_estimate(kernel: Kernel, offset, t, samples, seed, f=None,
 
     Unbiased for the same estimand as the plain weighted walk, with
     bounded weights, so large horizons (the t -> infinity regime of the
-    covariance formula) are reachable.  f defaults to 1.
+    covariance formula) are reachable.  f defaults to 1.  The metadata
+    reports the health of the importance weights w (before f): the
+    effective sample size (sum w)^2 / sum w^2 (Kong 1992) and the largest
+    weight's share of sum w.
     """
-    field = _h_field(kernel)
-    mom = kernel_moments(kernel)
-    beta = 0.5 * (mom.kappa2 if kappa2_override is None else kappa2_override)
     walk = walk_from_kernel(kernel)
+    field = _h_field(walk)
+    beta = 0.5 * (walk.kappa2 if kappa2_override is None else kappa2_override)
     steps = np.asarray(sorted(walk.rates), dtype=np.int64)
+    # the position and its neighbours, looked up in one field.values call
+    here_and_nb = np.vstack([np.zeros((1, kernel.d), dtype=np.int64), steps])
     q = np.asarray([walk.rates[tuple(z)] for z in steps])
     lam = q.sum()
     T = 2.0 * float(t)
@@ -595,6 +599,7 @@ def fk3_limit_estimate(kernel: Kernel, offset, t, samples, seed, f=None,
 
     total = 0.0
     total_sq = 0.0
+    w_sum = w_sq = w_max = 0.0   # importance weights alone, for the ESS
     n_done = 0
     h_start = float(field.values(start[None, :])[0])
     while n_done < samples:
@@ -605,10 +610,9 @@ def fk3_limit_estimate(kernel: Kernel, offset, t, samples, seed, f=None,
         acc = np.zeros(b)  # integral of (lambda_tilde - lambda) along the path
         alive = np.ones(b, dtype=bool)
         while True:
-            h_here = field.values(pos)
-            h_nb = np.empty((b, len(steps)))
-            for k, z in enumerate(steps):
-                h_nb[:, k] = field.values(pos + z)
+            nb = (pos[:, None, :] + here_and_nb).reshape(-1, d)
+            h_all = field.values(nb).reshape(b, len(here_and_nb))
+            h_here, h_nb = h_all[:, 0], h_all[:, 1:]
             qt = q[None, :] * h_nb / h_here[:, None]
             lam_t = qt.sum(axis=1)
             hold = rng.exponential(1.0, b) / lam_t
@@ -628,6 +632,9 @@ def fk3_limit_estimate(kernel: Kernel, offset, t, samples, seed, f=None,
         h_end = field.values(pos)
         logw = beta * L + math.log(h_start) - np.log(h_end) + acc
         w = np.exp(logw)
+        w_sum += w.sum()
+        w_sq += (w**2).sum()
+        w_max = max(w_max, float(w.max()))
         if f is not None:
             w = w * np.asarray(f(pos), dtype=float)
         total += w.sum()
@@ -639,7 +646,9 @@ def fk3_limit_estimate(kernel: Kernel, offset, t, samples, seed, f=None,
                           standard_error=math.sqrt(var / samples),
                           samples=samples,
                           metadata={"method": "h-tilted importance sampling",
-                                    "horizon": T})
+                                    "horizon": T,
+                                    "ess": float(w_sum**2 / w_sq),
+                                    "max_weight_share": float(w_max / w_sum)})
 
 
 def pair_mass_correlation(kernel: Kernel, offset, t, samples, seed) -> EstimateResult:

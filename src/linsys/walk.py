@@ -19,7 +19,10 @@ Two independent routes compute G: tensor midpoint quadrature of the
 Fourier integral with dyadic refinement toward the theta = 0 singularity
 plus Richardson extrapolation, and a truncated-lattice solve of
 (-L_S) g = delta_0 with absorbing exterior (monotone from below in the
-box radius).
+box radius).  The truncated solve is matrix-free conjugate gradients on
+the (2R+1)^d box, preconditioned by phi in the discrete sine basis: the
+fast Poisson solver of Buzbee, Golub & Nielson (1970), exact for
+nearest-neighbour walks and close for the others.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse
+import scipy.fft
 import scipy.sparse.linalg
 
 from .kernel import Kernel, kernel_moments
@@ -168,45 +171,22 @@ def _green_fourier(walk, offsets, n, levels=40):
 
 
 def _green_truncated(walk, offsets, radius):
-    """Solve (-L_S) g = delta_0 on the box [-R, R]^d, absorbing outside."""
-    d, R = walk.d, int(radius)
-    n = 2 * R + 1
-    size = n**d
-    strides = [n**i for i in range(d)]
-
-    def idx(x):
-        return sum((c + R) * s for c, s in zip(x, strides))
-
-    rows, cols, vals = [], [], []
-    diag = np.full(size, walk.total_rate)
-    grid = np.stack(
-        np.meshgrid(*([np.arange(-R, R + 1)] * d), indexing="ij"), axis=-1
-    ).reshape(size, d)
-    for z, q in walk.rates.items():
-        tgt = grid + np.asarray(z)
-        ok = np.all(np.abs(tgt) <= R, axis=1)
-        src = np.nonzero(ok)[0]
-        dst = tgt[ok] + R
-        dst_idx = dst @ np.asarray(strides)
-        rows.extend(src.tolist())
-        cols.extend(dst_idx.tolist())
-        vals.extend([-q] * len(src))
-    A = scipy.sparse.csr_matrix(
-        (np.concatenate([vals, diag]),
-         (np.concatenate([rows, np.arange(size)]),
-          np.concatenate([cols, np.arange(size)]))),
-        shape=(size, size),
-    )
-    rhs = np.zeros(size)
-    rhs[idx(tuple([0] * d))] = 1.0
-    g, info = scipy.sparse.linalg.cg(A, rhs, rtol=1e-12, atol=0.0, maxiter=20000)
-    if info != 0:
-        raise WalkError(f"truncated solve did not converge (info={info})")
-    return {x: float(g[idx(x)]) for x in offsets}
+    """Box-solve values at the offsets; 0 outside the box (absorbed)."""
+    R = int(radius)
+    box = green_box(walk, R)
+    return {x: float(box[tuple(c + R for c in x)]) if max(map(abs, x)) <= R
+            else 0.0 for x in offsets}
 
 
 def green_box(walk: WalkSpec, radius):
     """Truncated-solve Green values as a dense array over [-R, R]^d.
+
+    Solves (-L_S) g = delta_0 with absorbing exterior by conjugate
+    gradients on the (2R+1)^d array: the operator is applied as a
+    stencil, and the preconditioner is the walk's symbol phi in the
+    DST-I basis, which diagonalizes nearest-neighbour walks exactly
+    (Buzbee, Golub & Nielson 1970) and nearly diagonalizes the rest.
+    ``box[R + x_1, ..., R + x_d]`` is the value at x.
 
     Absorbing exterior: every value underestimates G by roughly the mean
     Green value on the boundary (a nearly constant deficit ~ 1/R for
@@ -216,31 +196,42 @@ def green_box(walk: WalkSpec, radius):
         raise RecurrentDimensionError("green_box requires d >= 3")
     d, R = walk.d, int(radius)
     n = 2 * R + 1
+    shape = (n,) * d
+    # row x reads x + z: dst holds the x with both x and x + z in the box
+    moves = [(q, tuple(slice(max(-c, 0), n - max(c, 0)) for c in z),
+              tuple(slice(max(c, 0), n + min(c, 0)) for c in z))
+             for z, q in walk.rates.items() if max(map(abs, z)) < n]
+
+    def apply(v):
+        g = v.reshape(shape)
+        out = walk.total_rate * g
+        for q, dst, src in moves:
+            out[dst] -= q * g[src]
+        return out.ravel()
+
+    theta = math.pi * np.arange(1, n + 1) / (n + 1)
+    phi, _ = _phi_on_grid(walk, [theta] * d)
+    # phi is smallest at the lowest mode unless the jumps generate only a
+    # sublattice of Z^d; then phi nearly vanishes at its dual points, and
+    # the floor keeps the preconditioner well conditioned
+    phi = np.maximum(phi, phi[(0,) * d])
+
+    def precondition(r):
+        r_hat = scipy.fft.dstn(r.reshape(shape), type=1)
+        return scipy.fft.idstn(r_hat / phi, type=1).ravel()
+
     size = n**d
-    strides = [n**i for i in range(d)]
-    rows, cols, vals = [], [], []
-    diag = np.full(size, walk.total_rate)
-    grid = np.stack(
-        np.meshgrid(*([np.arange(-R, R + 1)] * d), indexing="ij"), axis=-1
-    ).reshape(size, d)
-    for z, q in walk.rates.items():
-        tgt = grid + np.asarray(z)
-        ok = np.all(np.abs(tgt) <= R, axis=1)
-        src = np.nonzero(ok)[0]
-        dst_idx = (tgt[ok] + R) @ np.asarray(strides)
-        rows.append(src)
-        cols.append(dst_idx)
-        vals.append(np.full(len(src), -q))
-    rows = np.concatenate(rows + [np.arange(size)])
-    cols = np.concatenate(cols + [np.arange(size)])
-    vals = np.concatenate(vals + [diag])
-    A = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(size, size))
-    rhs = np.zeros(size)
-    rhs[(np.zeros(d, dtype=int) + R) @ np.asarray(strides)] = 1.0
-    g, info = scipy.sparse.linalg.cg(A, rhs, rtol=1e-12, atol=0.0, maxiter=20000)
+    A = scipy.sparse.linalg.LinearOperator((size, size), matvec=apply,
+                                           dtype=float)
+    M = scipy.sparse.linalg.LinearOperator((size, size), matvec=precondition,
+                                           dtype=float)
+    rhs = np.zeros(shape)
+    rhs[(R,) * d] = 1.0
+    g, info = scipy.sparse.linalg.cg(A, rhs.ravel(), rtol=1e-12, atol=0.0,
+                                     maxiter=20000, M=M)
     if info != 0:
         raise WalkError(f"green_box solve did not converge (info={info})")
-    return g.reshape(*([n] * d))
+    return g.reshape(shape)
 
 
 def green(walk: WalkSpec, offsets=None, method="fourier_quadrature",
@@ -256,6 +247,10 @@ def green(walk: WalkSpec, offsets=None, method="fourier_quadrature",
             f"d={walk.d}: the walk is recurrent for d <= 2, G(0) diverges")
     zero = tuple([0] * walk.d)
     offsets = [tuple(x) for x in (offsets or [])]
+    for x in offsets:
+        if len(x) != walk.d:
+            raise WalkError(f"offset {list(x)} has dimension {len(x)}, "
+                            f"walk has {walk.d}")
     want = [zero] + [x for x in offsets if x != zero]
 
     if method == "fourier_quadrature":
@@ -264,6 +259,10 @@ def green(walk: WalkSpec, offsets=None, method="fourier_quadrature",
         res = n
     elif method == "truncated_solve":
         R = resolution or (25 if walk.d == 3 else 8)
+        outside = [x for x in want if max(map(abs, x)) > R]
+        if outside:
+            raise WalkError(f"offset {list(outside[0])} lies outside the "
+                            f"truncated box of radius {R}")
         fine = _green_truncated(walk, want, R)
         coarse = _green_truncated(walk, want, max(R // 2, 2))
         values = fine
@@ -320,15 +319,16 @@ def bcpp_critical_lambda(d, resolution=None):
 
 
 def h_of_x(kernel: Kernel, offsets, resolution=None):
-    """h(x) = 1 + kappa_2 G(x)/(2 - kappa_2 G(0)) for the given offsets."""
-    value, ok = survival_criterion(kernel, resolution=resolution)
-    if not ok:
-        raise DivergentHError(
-            f"criterion value {value} >= 1: exponential moment diverges")
-    mom = kernel_moments(kernel)
-    if mom.kappa2 == 0.0:
+    """h(x) = 1 + kappa_2 G(x)/(2 - kappa_2 G(0)) for the given offsets.
+
+    One Green table serves both the survival criterion (from G(0)) and h.
+    """
+    if kernel_moments(kernel).kappa2 == 0.0:
         return {tuple(x): 1.0 for x in offsets}
     tab = green(walk_from_kernel(kernel), offsets=offsets, resolution=resolution)
+    if tab.criterion_value >= 1.0:
+        raise DivergentHError(f"criterion value {tab.criterion_value} >= 1: "
+                              "exponential moment diverges")
     return {tuple(x): tab.h_values[tuple(x)] for x in offsets}
 
 

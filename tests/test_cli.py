@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from linsys import cli
 from linsys.cli import ConfigError, main, parse_config
 
 
@@ -162,3 +163,41 @@ def test_cli_invalid_json_exit_code(capsys):
     rc = main(["criterion", "{not json"])
     assert rc == 2
     assert "config" in json.loads(capsys.readouterr().err)["error"]
+
+
+def _config_error(capsys):
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config"
+    return err["message"]
+
+
+def test_cli_green_offset_dimension_mismatch(capsys):
+    cfg = {"bcpp": {"d": 3, "lambda": 1.0}, "offsets": [[1, 0]]}
+    assert main(["green", json.dumps(cfg)]) == 2
+    assert "offsets[0]" in _config_error(capsys)
+
+
+def test_cli_verify_cov_site_dimension_mismatch(capsys):
+    cfg = {"bcpp": {"d": 3, "lambda": 1.0}, "a": [1], "t": 10, "samples": 10}
+    assert main(["verify-cov", json.dumps(cfg)]) == 2
+    assert _config_error(capsys).startswith("a must be a list of 3 integers")
+
+
+def test_cli_threads_env_not_integer(capsys, monkeypatch):
+    monkeypatch.setenv("LINSYS_THREADS", "two")
+    cfg = {"bcpp": {"d": 3, "lambda": 1.0}}
+    assert main(["criterion", json.dumps(cfg)]) == 2
+    assert "LINSYS_THREADS" in _config_error(capsys)
+
+
+def test_dispatch_keeps_command_key_errors(monkeypatch):
+    cfg = parse_config(json.dumps({"bcpp": {"d": 3, "lambda": 1.0}}))
+
+    def broken(cfg):
+        raise KeyError("inner")
+
+    monkeypatch.setitem(cli._COMMANDS, "criterion", broken)
+    with pytest.raises(KeyError, match="inner"):
+        cli.dispatch("criterion", cfg)
+    with pytest.raises(ConfigError, match="unknown subcommand"):
+        cli.dispatch("no-such-command", cfg)

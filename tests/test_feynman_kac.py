@@ -6,6 +6,7 @@ import pytest
 from linsys.engine import init_state, unpack_site
 from linsys.kernel import Kernel, kernel_moments, make_bcpp_kernel
 from linsys import feynman_kac as fk
+from linsys.walk import walk_from_kernel
 from conftest import random_single_offset_kernel
 
 BCPP1 = make_bcpp_kernel(1, 1.0)
@@ -250,6 +251,24 @@ def test_tilted_estimator_unbiased():
         exact = fk.exp_local_time_moment(BCPP3, t)
         res = fk.fk3_limit_estimate(BCPP3, (0, 0, 0), t, 20_000, seed=9)
         assert abs(res.value - exact) <= target_tol * res.standard_error
+
+
+def test_tilted_estimator_health():
+    res = fk.fk3_limit_estimate(BCPP3, (0, 0, 0), 20.0, 5_000, seed=8)
+    ess = res.metadata["ess"]
+    assert 0.5 * res.samples < ess <= res.samples
+    assert 1.0 / res.samples <= res.metadata["max_weight_share"] < 1.0
+
+
+def test_h_field_cache_keyed_by_content(monkeypatch):
+    monkeypatch.setattr(fk, "_H_FIELDS", {})
+    first, second = (walk_from_kernel(Kernel.from_dict(BCPP3.to_dict()))
+                     for _ in range(2))
+    other = walk_from_kernel(make_bcpp_kernel(3, 2.0))
+    assert fk._h_field(first, radius=8) is fk._h_field(second, radius=8)
+    assert len(fk._H_FIELDS) == 1
+    assert fk._h_field(other, radius=8) is not fk._h_field(first, radius=8)
+    assert len(fk._H_FIELDS) == 2
 
 
 def test_tilted_estimator_with_delta0():

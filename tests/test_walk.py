@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
+import scipy.sparse.linalg
 
 from linsys.kernel import Kernel, make_bcpp_kernel
 from linsys.walk import (DegenerateWalkError, DivergentHError,
-                         RecurrentDimensionError, WalkSpec,
+                         RecurrentDimensionError, WalkError, WalkSpec,
                          bcpp_critical_lambda, green, green_box, h_of_x,
                          return_probability, simple_walk, simulate_walk,
                          survival_criterion, walk_from_kernel)
@@ -118,6 +120,85 @@ def test_green_box_matches_point_solve():
     assert abs(box[11, 10, 10] - tab.values[(1, 0, 0)]) < 1e-10
 
 
+def _symmetric_walk(half_rates):
+    rates = {}
+    for z, q in half_rates.items():
+        rates[z] = rates[tuple(-c for c in z)] = q
+    return WalkSpec(d=len(next(iter(rates))), rates=rates,
+                    total_rate=sum(rates.values()))
+
+
+# faster along axis 0 than along axes 1 and 2
+ANISOTROPIC_RATES = {(1, 0, 0): 0.2, (0, 1, 0): 0.1, (0, 0, 1): 0.1}
+ANISOTROPIC = _symmetric_walk(ANISOTROPIC_RATES)
+
+
+def _direct_box_solve(walk, R):
+    """Reference: assemble (-L_S) on [-R, R]^d in C order, solve directly."""
+    n = 2 * R + 1
+    shape = (n,) * walk.d
+    size = n**walk.d
+    sites = np.indices(shape).reshape(walk.d, -1).T
+    rows, cols = [np.arange(size)], [np.arange(size)]
+    vals = [np.full(size, walk.total_rate)]
+    for z, q in walk.rates.items():
+        tgt = sites + np.asarray(z)
+        ok = np.all((tgt >= 0) & (tgt < n), axis=1)
+        rows.append(np.nonzero(ok)[0])
+        cols.append(np.ravel_multi_index(tuple(tgt[ok].T), shape))
+        vals.append(np.full(ok.sum(), -q))
+    A = scipy.sparse.csc_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(size, size))
+    rhs = np.zeros(shape)
+    rhs[(R,) * walk.d] = 1.0
+    return scipy.sparse.linalg.spsolve(A, rhs.ravel()).reshape(shape)
+
+
+def test_truncated_solve_anisotropic_constant_deficit():
+    offs = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 1, 0), (0, 2, 3)]
+    quad = green(ANISOTROPIC, offsets=offs)
+    trunc = green(ANISOTROPIC, offsets=offs, method="truncated_solve")
+    deficits = [quad.values[x] - trunc.values[x] for x in [(0, 0, 0)] + offs]
+    assert min(deficits) > 0
+    assert max(deficits) - min(deficits) < 0.02 * min(deficits)
+
+
+def test_green_box_axes_anisotropic():
+    R = 6
+    box = green_box(ANISOTROPIC, R)
+    tab = green(ANISOTROPIC, offsets=[(1, 0, 0)], method="truncated_solve",
+                resolution=R)
+    assert abs(box[R + 1, R, R] - tab.values[(1, 0, 0)]) < 1e-10
+    # the fast axis carries the larger neighbour value
+    assert box[R + 1, R, R] > box[R, R, R + 1] + 0.1
+
+
+@pytest.mark.parametrize("half_rates, R", [
+    (ANISOTROPIC_RATES, 6),
+    # range 2
+    ({(1, 0, 0): 0.1, (0, 1, 0): 0.15, (0, 0, 1): 0.2, (2, 1, 0): 0.05}, 8),
+    # the jumps generate only {x1 + x2 + x3 = 0 mod 3}, whose dual point
+    # 2 pi/3 (1, 1, 1) lies on the sine grid when 3 divides R + 1
+    ({(1, -1, 0): 0.1, (0, 1, -1): 0.1, (1, 1, 1): 0.05}, 5),
+])
+def test_green_box_matches_direct_solve(half_rates, R):
+    w = _symmetric_walk(half_rates)
+    box = green_box(w, R)
+    ref = _direct_box_solve(w, R)
+    reached = ref != 0
+    assert np.max(np.abs(box - ref)[reached] / ref[reached]) < 1e-8
+    assert np.max(np.abs(box[~reached]), initial=0.0) < 1e-10
+
+
+def test_green_rejects_bad_offsets():
+    w = walk_from_kernel(make_bcpp_kernel(3, 1.0))
+    with pytest.raises(WalkError, match="dimension"):
+        green(w, offsets=[(1, 0)])
+    with pytest.raises(WalkError, match="outside the truncated box"):
+        green(w, offsets=[(7, 0, 0)], method="truncated_solve", resolution=6)
+
+
 def test_survival_criterion_bcpp():
     value, ok = survival_criterion(make_bcpp_kernel(3, 1.0))
     assert ok and abs(value - 0.8846) < 5e-4
@@ -151,6 +232,14 @@ def test_h_values():
     h = h_of_x(k, [(0, 0, 0), (1, 0, 0), (4, 0, 0)])
     assert abs(h[(0, 0, 0)] - 8.663) < 2e-2
     assert h[(0, 0, 0)] > h[(1, 0, 0)] > h[(4, 0, 0)] > 1.0
+
+
+def test_h_of_x_values_unchanged():
+    # the criterion and h come from one Green table; pinned bit for bit
+    h = h_of_x(make_bcpp_kernel(3, 1.0),
+               [(0, 0, 0), (1, 0, 0), (2, 1, 0), (5, 0, 0)])
+    assert h == {(0, 0, 0): 8.662381070648507, (1, 0, 0): 3.609325446103548,
+                 (2, 1, 0): 2.089383296517617, (5, 0, 0): 1.4881914824797176}
 
 
 def test_h_divergent_below_critical():
