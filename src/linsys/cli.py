@@ -73,9 +73,11 @@ class RunConfig:
             raise AttributeError(name)
 
     def resolved(self):
-        # output_dir is environmental, not semantic: keeping it out of the
-        # echo makes artifacts byte-identical across working directories
-        out = {k: v for k, v in self.values.items() if k != "output_dir"}
+        # output_dir and threads are environmental, not semantic: keeping
+        # them out of the echo makes artifacts byte-identical across working
+        # directories and worker counts
+        out = {k: v for k, v in self.values.items()
+               if k not in ("output_dir", "threads")}
         out["kernel"] = self.kernel.to_dict()
         out["format_version"] = FORMAT_VERSION
         return out
@@ -260,11 +262,12 @@ def _cmd_simulate(cfg):
             for r, rec in engine.trajectory_records(
                     cfg.kernel, cfg.initial, cfg.t_grid, cfg.replicas,
                     cfg.seed, dual=cfg.dual, max_occupied=cfg.max_occupied):
-                row = ([r, rec.t, rec.normalized_total, rec.rho_star,
-                        rec.overlap, rec.occupied, int(rec.extinct)]
-                       + [rec.weighted_moment_1[i] for i in range(d)]
-                       + [rec.weighted_moment_2[i, j]
-                          for i in range(d) for j in range(d)])
+                # plain Python numbers: repr() of a numpy scalar is not a number
+                row = ([int(r), float(rec.t), float(rec.normalized_total),
+                        float(rec.rho_star), float(rec.overlap),
+                        int(rec.occupied), int(rec.extinct)]
+                       + [float(v) for v in rec.weighted_moment_1]
+                       + [float(v) for v in rec.weighted_moment_2.ravel()])
                 fh.write(",".join(repr(v) for v in row) + "\n")
     return 0
 

@@ -108,7 +108,7 @@ class ProcessState:
             m = float(m)
             if m <= 0:
                 raise EngineError(f"initial mass at {x} must be > 0, got {m}")
-            key = pack_site(_check_coords(x))
+            key = pack_site(_check_coords(x, self.d))
             self.masses[key] = self.masses.get(key, 0.0) + m
 
         # atom tables: cumulative probabilities for the draw, then per-atom
@@ -344,8 +344,10 @@ def replica_seed(base_seed, r):
     return np.random.SeedSequence([int(base_seed) & 0xFFFFFFFFFFFFFFFF, int(r)])
 
 
-def _check_coords(x):
+def _check_coords(x, d):
     t = tuple(int(c) for c in x)
+    if len(t) != d:
+        raise EngineError(f"site {x} has dimension {len(t)}, kernel has {d}")
     if any(abs(c) >= _OFF - 64 for c in t):
         raise EngineError(f"site {x} outside supported coordinate range")
     return t

@@ -16,13 +16,21 @@ V(w) = 2 kappa_1 + kappa_2 delta_{w,0}.
 Three routes to the same two-point quantities are implemented and cross
 checked against each other:
 
-  1. ``oracle_two_point``: integrate u' = Gamma u exactly on a truncated
-     pair box (brute-force oracle; feasible for d = 1, marginally d = 2),
+  1. ``oracle_two_point``: solve u' = Gamma u exactly on a truncated pair
+     box (brute-force oracle; d = 1, and d = 2 up to R of about 8),
   2. ``pair_chain_estimate``: Monte Carlo over the transposed (dual) pair
      chain, weighted by exp(kappa_2 * local time on the pair diagonal),
   3. ``fk3_estimate``: Monte Carlo over the symmetrized one-particle walk
      run to time 2t, weighted by exp(kappa_2/2 * local time at 0); this
      is the only route that scales to d = 3.
+
+Every deterministic solve (the oracle, the one-point profile and the
+exponential local-time moment) builds its lattice generator with one box
+builder, ``_box_generator``; the pair generator is the Kronecker sum
+L + L of the one-point generator plus the cross and joint-move terms at
+the few offsets where they live.  Each is evolved with
+``scipy.sparse.linalg.expm_multiply`` (Al-Mohy & Higham 2011), one call
+per time interval.
 
 Local times are accumulated exactly from the exponential holding times;
 no time discretization enters anywhere.
@@ -35,6 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse
+import scipy.sparse.linalg
 
 from .kernel import Kernel, kernel_moments, _l1_ball
 from .walk import WalkSpec, walk_from_kernel, simulate_walk, DegenerateWalkError
@@ -46,10 +55,6 @@ class FeynmanKacError(RuntimeError):
 
 class UnsupportedKernelError(FeynmanKacError):
     """Negative off-diagonal pair rates: chain simulation is undefined."""
-
-
-class StiffnessError(FeynmanKacError):
-    pass
 
 
 def _neg(x):
@@ -74,14 +79,35 @@ class GammaTable:
         self.mu = kernel.mean_vector
         sup = set(kernel.support) | {self.zero}
         self._c2 = {(u, v): kernel.cross_moment(u, v) for u in sup for v in sup}
-        self._coal_candidates = sorted(sup)
+        # one pass over support pairs: (u, v) adds c2(u, v) to c(v - u) and
+        # moves a pair at offset w = u - v by (-u, -v) at rate c2(u, v): the
+        # cross term when u or v is 0, a joint move onto one site otherwise,
+        # and the diagonal term c2(0, 0) when both are
+        self._corr = {}
+        self.near_rates = {}     # w -> {(dy, dyt): rate}, nonzero rates only
+        for (u, v), c in sorted(self._c2.items()):
+            if c == 0.0:
+                continue
+            w = _add(u, _neg(v))
+            self._corr[_neg(w)] = self._corr.get(_neg(w), 0.0) + c
+            self.near_rates.setdefault(w, {})[(_neg(u), _neg(v))] = c
+        # every other move is a single component jumping by a at rate mu(-a)
+        self._single = {}
+        for z, m in self.mu.items():
+            if z != self.zero:
+                self._single[(_neg(z), self.zero)] = m
+                self._single[(self.zero, _neg(z))] = m
 
     def c2(self, u, v):
         return self._c2.get((tuple(u), tuple(v)), 0.0)
 
+    def correlation(self, w):
+        """c(w) = sum_y E[(K_y - delta_{y,0})(K_{w+y} - delta_{w+y,0})]."""
+        return self._corr.get(tuple(w), 0.0)
+
     def potential(self, w):
         """V(w) = 2 kappa_1 + c(w)."""
-        return 2.0 * self.kappa1 + self.kernel.correlation(w)
+        return 2.0 * self.kappa1 + self.correlation(w)
 
     def diagonal_entry(self, w):
         """Matrix entry Gamma[(x,xt),(x,xt)] for w = x - xt."""
@@ -97,33 +123,10 @@ class GammaTable:
         zero entries dropped.  Entries may be negative for kernels that
         satisfy orthogonality but not the single-site-update condition.
         """
-        w = tuple(w)
-        zero = self.zero
-        out = {}
-
-        def put(jump, rate):
-            if rate != 0.0:
+        out = dict(self._single)
+        for jump, rate in self.near_rates.get(tuple(w), {}).items():
+            if jump != (self.zero, self.zero):
                 out[jump] = out.get(jump, 0.0) + rate
-
-        for z, m in self.mu.items():
-            if z == zero:
-                continue
-            a = _neg(z)          # component moves by a at rate mu(-a)
-            put((a, zero), m)
-            put((zero, a), m)
-        if w != zero:
-            # landing exactly on the partner picks up a cross term
-            put((_neg(w), zero), self.c2(w, zero))
-            put((zero, w), self.c2(_neg(w), zero))
-        for u in self._coal_candidates:
-            for v in self._coal_candidates:
-                # joint move to one site: dy = -u, dyt = -v with dy - dyt = -w
-                a, b = _neg(u), _neg(v)
-                if _add(a, _neg(b)) != _neg(w):
-                    continue
-                if a == zero or b == zero:
-                    continue  # handled above as a single move
-                put((a, b), self.c2(u, v))
         return sorted(out.items())
 
     def y_jump_rates(self, w):
@@ -133,29 +136,14 @@ class GammaTable:
         by z at rate E[K_z]; on the diagonal, single moves pick up
         c2(a, 0) and joint moves (a, b) run at c2(a, b).
         """
-        w = tuple(w)
-        zero = self.zero
-        out = {}
-
-        def put(jump, rate):
-            if rate != 0.0:
-                out[jump] = out.get(jump, 0.0) + rate
-
-        for z, m in self.mu.items():
-            if z == zero:
-                continue
-            put((z, zero), m)
-            put((zero, z), m)
-        if w == zero:
-            for a in self._coal_candidates:
-                if a == zero:
-                    continue
-                put((a, zero), self.c2(a, zero))
-                put((zero, a), self.c2(zero, a))
-                for b in self._coal_candidates:
-                    if b == zero:
-                        continue
-                    put((a, b), self.c2(a, b))
+        out = {(_neg(a), _neg(b)): m for (a, b), m in self._single.items()}
+        if tuple(w) == self.zero:
+            # the transposed cross and joint moves all start on the diagonal
+            for jumps in self.near_rates.values():
+                for (dy, dyt), rate in jumps.items():
+                    if (dy, dyt) != (self.zero, self.zero):
+                        jump = (_neg(dy), _neg(dyt))
+                        out[jump] = out.get(jump, 0.0) + rate
         return sorted(out.items())
 
     def row_sum(self, w):
@@ -183,6 +171,8 @@ class GammaTable:
         """Off-diagonal entries below -tol, as (w, jump, rate) tuples."""
         bad = []
         for w in _l1_ball(self.d, 2 * self.r_K):
+            if w not in self.near_rates:
+                continue  # single moves only, at rates mu(-a) > 0
             for jump, rate in self.x_jump_rates(w):
                 if rate < -tol:
                     bad.append((w, jump, rate))
@@ -215,56 +205,99 @@ class OracleSolution:
         return self.u[ti] * math.exp(-2.0 * self.kappa1 * self.times[ti])
 
 
-def _rk4_step(A, y, h):
-    k1 = A @ y
-    k2 = A @ (y + 0.5 * h * k1)
-    k3 = A @ (y + 0.5 * h * k2)
-    k4 = A @ (y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _box_sites(d, R):
+    n = 2 * R + 1
+    return [tuple(x) for x in (np.indices((n,) * d).reshape(d, -1).T - R).tolist()]
 
 
-def _integrate(A, y0, times, rtol=1e-9, atol=1e-14):
-    """Explicit RK4 with step doubling; returns y at the requested times."""
-    t = 0.0
-    y = np.asarray(y0, dtype=float).copy()
-    rate_scale = max(abs(A).sum(axis=1).max(), 1e-12)
-    h = 0.1 / rate_scale
-    out = []
+def _box_shift(d, R, z):
+    """For each box site x: whether x + z lies in the box, and its index.
+
+    Indices follow the C order of ``_box_sites``; outside sites get a
+    clipped (meaningless) index, masked by the first array.
+    """
+    n = 2 * R + 1
+    y = np.indices((n,) * d).reshape(d, -1) + np.asarray(z, dtype=np.int64)[:, None]
+    inside = np.all((y >= 0) & (y < n), axis=0)
+    return inside, np.ravel_multi_index(np.clip(y, 0, n - 1), (n,) * d)
+
+
+def _box_generator(walk: WalkSpec, R, potential=0.0):
+    """L + potential for the walk killed outside the box |x|_inf <= R.
+
+    CSR matrix on the (2R+1)^d box in ``_box_sites`` order: rates[z] at
+    (x, x + z) when x + z lies in the box, and -total_rate + potential(x)
+    on the diagonal (``potential`` is a scalar or one value per site).
+    """
+    M = (2 * R + 1) ** walk.d
+    rows, cols = [np.arange(M)], [np.arange(M)]
+    vals = [np.broadcast_to(potential - walk.total_rate, (M,))]
+    for z, q in walk.rates.items():
+        inside, target = _box_shift(walk.d, R, z)
+        rows.append(np.flatnonzero(inside))
+        cols.append(target[inside])
+        vals.append(np.full(len(rows[-1]), q))
+    return scipy.sparse.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(M, M))
+
+
+def _one_point_walk(kernel: Kernel) -> WalkSpec:
+    try:
+        return walk_from_kernel(kernel, symmetrized=False)
+    except DegenerateWalkError:
+        # no mass moves between sites: the generator is its diagonal
+        return WalkSpec(d=kernel.d, rates={}, total_rate=0.0, symmetrized=False)
+
+
+def _pair_generator(table: GammaTable, R):
+    """Gamma on the pair box, pair (x, xt) at index i(x) * M + i(xt).
+
+    The two components move independently by the Kronecker sum L + L of
+    the one-point generator with potential kappa_1 (diagonal mu(0) - 1);
+    the cross and joint-move terms of ``table.near_rates`` are added on
+    top, only at the pair offsets w where they live.
+    """
+    d = table.d
+    L = _box_generator(_one_point_walk(table.kernel), R, table.kappa1)
+    M = L.shape[0]
+    pairs = np.arange(M)
+    rows, cols, vals = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], [np.zeros(0)]
+    for w, jumps in table.near_rates.items():
+        in_t, i_t = _box_shift(d, R, _neg(w))            # xt = x - w
+        for (dy, dyt), rate in jumps.items():
+            in_y, i_y = _box_shift(d, R, dy)
+            in_yt, i_yt = _box_shift(d, R, _add(_neg(w), dyt))
+            ok = in_t & in_y & in_yt
+            rows.append(pairs[ok] * M + i_t[ok])
+            cols.append(i_y[ok] * M + i_yt[ok])
+            vals.append(np.full(len(rows[-1]), rate))
+    near = scipy.sparse.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(M * M, M * M))
+    return scipy.sparse.kronsum(L, L, format="csr") + near
+
+
+def _integrate(A, y0, times):
+    """exp(t A) y0 at each of the non-decreasing times, one expm_multiply per interval."""
+    t, y, out = 0.0, np.asarray(y0, dtype=float), []
     for T in times:
         if T < t:
             raise FeynmanKacError("times must be increasing")
-        while t < T:
-            h_try = min(h, T - t)
-            y_full = _rk4_step(A, y, h_try)
-            y_half = _rk4_step(A, _rk4_step(A, y, 0.5 * h_try), 0.5 * h_try)
-            scale = atol + rtol * max(np.abs(y_half).max(), 1.0)
-            err = np.abs(y_half - y_full).max() / 15.0
-            if err <= scale:
-                y = y_half + (y_half - y_full) / 15.0
-                t += h_try
-                h = h_try * min(2.0, 0.9 * (scale / err) ** 0.2 if err > 0 else 2.0)
-            else:
-                h = h_try * max(0.2, 0.9 * (scale / err) ** 0.2)
-            if h < 1e-13 * max(T, 1.0):
-                raise StiffnessError(f"step size underflow at t={t}")
-        out.append(y.copy())
+        if T > t:
+            y = scipy.sparse.linalg.expm_multiply((T - t) * A, y)
+        out.append(y)
+        t = T
     return out
 
 
-def _box_sites(d, R):
-    grids = np.meshgrid(*([np.arange(-R, R + 1)] * d), indexing="ij")
-    return [tuple(int(g[idx]) for g in grids)
-            for idx in np.ndindex(*([2 * R + 1] * d))]
-
-
-def oracle_two_point(kernel: Kernel, initial, times, radius,
-                     rtol=1e-9, leak_threshold=1e-3) -> OracleSolution:
-    """Integrate u' = Gamma u for u(t,x,xt) = P[eta_{t,x} eta_{t,xt}].
+def oracle_two_point(kernel: Kernel, initial, times, radius) -> OracleSolution:
+    """Solve u' = Gamma u for u(t,x,xt) = P[eta_{t,x} eta_{t,xt}].
 
     Pairs outside the box |x|_inf, |xt|_inf <= radius are absorbing with
     u = 0, so values near the boundary are biased low; the per-time
     fraction of mass on boundary pairs is reported as ``boundary_leak``.
-    State count is (2R+1)^(2d): keep d = 1 (R <= 8) or d = 2 (R <= 4).
+    State count is (2R+1)^(2d): d = 1, or d = 2 up to R of about 8.
     """
     if np.isscalar(times):
         times = [times]
@@ -278,36 +311,13 @@ def oracle_two_point(kernel: Kernel, initial, times, radius,
             raise FeynmanKacError(f"initial site {x} outside the box")
 
     table = GammaTable(kernel)
-    jump_cache = {}
-    rows, cols, vals = [], [], []
-    for i, x in enumerate(sites):
-        for j, xt in enumerate(sites):
-            w = tuple(a - b for a, b in zip(x, xt))
-            if w not in jump_cache:
-                jump_cache[w] = (table.x_jump_rates(w), table.diagonal_entry(w))
-            jumps, diag = jump_cache[w]
-            src = i * M + j
-            rows.append(src)
-            cols.append(src)
-            vals.append(diag)
-            for (dy, dyt), rate in jumps:
-                y = _add(x, dy)
-                yt = _add(xt, dyt)
-                iy = index.get(y)
-                iyt = index.get(yt)
-                if iy is None or iyt is None:
-                    continue  # absorbing exterior
-                rows.append(src)
-                cols.append(iy * M + iyt)
-                vals.append(rate)
-    A = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(M * M, M * M))
-
+    A = _pair_generator(table, R)
     eta0 = np.zeros(M)
     for x, m in initial:
         eta0[index[tuple(x)]] += float(m)
     u0 = np.outer(eta0, eta0).ravel()
 
-    snaps = _integrate(A, u0, times, rtol=rtol)
+    snaps = _integrate(A, u0, times)
     boundary = np.array([max(abs(c) for c in s) >= R for s in sites])
     pair_boundary = boundary[:, None] | boundary[None, :]
     leaks = []
@@ -322,55 +332,34 @@ def oracle_two_point(kernel: Kernel, initial, times, radius,
     )
 
 
-def one_point_profile(kernel: Kernel, initial, t, radius, rtol=1e-9):
+def one_point_profile(kernel: Kernel, initial, t, radius):
     """P[eta_{t,x}] on a box via the one-point walk's truncated generator.
 
     The mean solves m' = L_X m + kappa_1 m with L_X f(x) =
-    sum_y E[K_{x-y}] (f(y) - f(x)); we integrate v' = L_X v from eta_0
+    sum_y E[K_{x-y}] (f(y) - f(x)); we evolve v' = L_X v from eta_0
     and scale by exp(kappa_1 t).
     """
     d, R = kernel.d, int(radius)
     sites = _box_sites(d, R)
     index = {s: i for i, s in enumerate(sites)}
-    M = len(sites)
-    mom = kernel_moments(kernel)
-    mu = kernel.mean_vector
-    zero = tuple([0] * d)
-    total = sum(mu.values())
-    rows, cols, vals = [], [], []
-    for i, x in enumerate(sites):
-        rows.append(i)
-        cols.append(i)
-        vals.append(mu.get(zero, 0.0) - total)
-        for z, m in mu.items():
-            if z == zero:
-                continue
-            y = tuple(a - b for a, b in zip(x, z))  # K_{x-y} = K_z
-            j = index.get(y)
-            if j is not None:
-                rows.append(i)
-                cols.append(j)
-                vals.append(m)
-    A = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(M, M))
-    v0 = np.zeros(M)
+    v0 = np.zeros(len(sites))
     for x, m in initial:
         v0[index[tuple(x)]] += float(m)
-    v = _integrate(A, v0, [float(t)], rtol=rtol)[0]
-    scale = math.exp(mom.kappa1 * float(t))
+    A = _box_generator(_one_point_walk(kernel), R)
+    v = _integrate(A, v0, [float(t)])[0]
+    scale = math.exp(kernel_moments(kernel).kappa1 * float(t))
     return {s: scale * float(v[i]) for s, i in index.items()}
 
 
-def exp_local_time_moment(kernel: Kernel, t, radius=None, rtol=1e-8,
-                          start=None, kappa2_override=None) -> float:
+def exp_local_time_moment(kernel: Kernel, t, radius=None, start=None,
+                          kappa2_override=None) -> float:
     """Exact E_S^start[exp(kappa_2/2 * local time at 0 up to 2t)].
 
-    Deterministic Schrodinger-semigroup value: integrates
+    Deterministic Schrodinger-semigroup value: evolves
     v' = (L_S + kappa_2/2 delta_0) v from v = 1 on a truncated box.
     The brute-force reference the Monte Carlo estimators are tested
     against; equals P[|etabar_t|^2] for a single initial particle.
     """
-    from . import walk as walk_mod
-
     mom = kernel_moments(kernel)
     beta = 0.5 * (mom.kappa2 if kappa2_override is None else kappa2_override)
     walk = walk_from_kernel(kernel)
@@ -383,21 +372,10 @@ def exp_local_time_moment(kernel: Kernel, t, radius=None, rtol=1e-8,
     R = int(radius)
     sites = _box_sites(d, R)
     index = {s: i for i, s in enumerate(sites)}
-    M = len(sites)
-    rows, cols, vals = [], [], []
-    for i, x in enumerate(sites):
-        rows.append(i)
-        cols.append(i)
-        vals.append(-walk.total_rate + (beta if not any(x) else 0.0))
-        for z, q in walk.rates.items():
-            y = _add(x, z)
-            j = index.get(y)
-            if j is not None:
-                rows.append(i)
-                cols.append(j)
-                vals.append(q)
-    A = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(M, M))
-    v = _integrate(A, np.ones(M), [T], rtol=rtol)[0]
+    potential = np.zeros(len(sites))
+    potential[index[tuple([0] * d)]] = beta
+    A = _box_generator(walk, R, potential)
+    v = _integrate(A, np.ones(len(sites)), [T])[0]
     start = tuple(start) if start is not None else tuple([0] * d)
     return float(v[index[start]])
 

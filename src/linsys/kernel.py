@@ -276,11 +276,14 @@ def validate_kernel(kernel: Kernel, tol=MOMENT_TOL) -> ValidationReport:
     if not k1:
         violations.append(("k1_spanning", tuple(offs), rank))
 
+    from . import feynman_kac  # deferred: feynman_kac imports this module
+
+    table = feynman_kac.gamma_rates(kernel)
     k4 = True
     for x in _l1_ball(d, 2 * kernel.r_K):
         if x == zero:
             continue
-        c = kernel.correlation(x)
+        c = table.correlation(x)
         if abs(c) > tol:
             k4 = False
             violations.append(("k4_orthogonal", x, c))
@@ -293,14 +296,12 @@ def validate_kernel(kernel: Kernel, tol=MOMENT_TOL) -> ValidationReport:
         for v in sup:
             if u == v:
                 continue
-            c = kernel.cross_moment(u, v)
+            c = table.c2(u, v)
             if abs(c) > tol:
                 strong = False
                 violations.append(("strong_k4", (u, v), c))
 
-    from . import feynman_kac  # deferred: feynman_kac imports this module
-
-    neg = feynman_kac.gamma_rates(kernel).negative_offdiag(tol)
+    neg = table.negative_offdiag(tol)
     gamma_ok = not neg
     for entry in neg:
         violations.append(("offdiag_gamma_nonnegative",) + entry)

@@ -6,6 +6,7 @@ ensemble, the limit estimates) are shared across criteria and sized for
 a small workstation.
 """
 
+import glob
 import hashlib
 import json
 import math
@@ -15,6 +16,7 @@ import pickle
 import numpy as np
 import pytest
 
+import linsys
 from linsys.engine import init_state, run_ensemble, unpack_site, replica_seed
 from linsys.kernel import kernel_moments, make_bcpp_kernel, validate_kernel
 from linsys.walk import (bcpp_critical_lambda, green, h_of_x,
@@ -30,14 +32,25 @@ PI3 = 0.3405
 
 # Heavy fixtures are memoized on disk (exact reruns are byte-identical by
 # the determinism contract, so a cache hit changes nothing); delete the
-# directory or set LINSYS_TEST_CACHE=off for a cold run.
+# directory or set LINSYS_TEST_CACHE=off for a cold run.  The key covers
+# the package source and the numpy version, so a pickle built by other
+# code is never replayed.
 _CACHE_DIR = os.environ.get("LINSYS_TEST_CACHE", "/tmp/linsys_test_cache")
+
+
+def _code_fingerprint():
+    src = os.path.join(os.path.dirname(linsys.__file__), "*.py")
+    digest = hashlib.sha256()
+    for path in sorted(glob.glob(src)):
+        with open(path, "rb") as fh:
+            digest.update(fh.read())
+    return digest.hexdigest(), np.__version__
 
 
 def _cached(key_obj, builder):
     if _CACHE_DIR == "off":
         return builder()
-    key = hashlib.sha256(repr(key_obj).encode()).hexdigest()[:24]
+    key = hashlib.sha256(repr((key_obj, _code_fingerprint())).encode()).hexdigest()[:24]
     os.makedirs(_CACHE_DIR, exist_ok=True)
     path = os.path.join(_CACHE_DIR, key + ".pkl")
     if os.path.exists(path):

@@ -106,10 +106,21 @@ def test_cli_simulate_thread_independence(tmp_path):
         rc = main(["simulate", json.dumps(cfg), "--threads", str(threads),
                    "--output-dir", str(d)])
         assert rc == 0
-        blob = json.loads((d / "summary.json").read_text())
-        del blob["config"]  # thread count is echoed in the config
-        blobs.append(json.dumps(blob, sort_keys=True))
+        blobs.append((d / "summary.json").read_bytes())
     assert blobs[0] == blobs[1]
+
+
+def test_cli_simulate_csv_cells_are_numbers(tmp_path):
+    cfg = {"bcpp": {"d": 2, "lambda": 1.0},
+           "initial": [{"x": [0, 0], "mass": 1}],
+           "t_grid": [0.5, 2.0], "replicas": 20, "seed": 3}
+    rc = main(["simulate", json.dumps(cfg), "--output-dir", str(tmp_path)])
+    assert rc == 0
+    rows = [row.split(",") for row in
+            (tmp_path / "trajectories.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 40
+    values = [[float(v) for v in row] for row in rows]  # "np.float64(..)" raises
+    assert any(v != 0.0 for row in values for v in row[7:])  # moment columns
 
 
 def test_cli_seed_override(capsys):

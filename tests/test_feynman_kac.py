@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from linsys.engine import init_state, unpack_site
-from linsys.kernel import Kernel, kernel_moments, make_bcpp_kernel
+from linsys.kernel import Kernel, kernel_moments, make_bcpp_kernel, validate_kernel
 from linsys import feynman_kac as fk
 from linsys.walk import walk_from_kernel
 from conftest import random_single_offset_kernel
 
 BCPP1 = make_bcpp_kernel(1, 1.0)
 BCPP3 = make_bcpp_kernel(3, 1.0)
+# one atom touching two offsets at once: orthogonality fails
+BAD = Kernel(1, [(0.5, {}), (0.5, {(0,): 1.0, (1,): 1.0, (2,): 1.0})])
 
 
 # -- Gamma table ------------------------------------------------------------
@@ -42,6 +44,16 @@ def test_column_sum_closed_form(rng):
         assert abs(g.column_sum((1, 0)) - 2 * mom.kappa1) < 1e-10
 
 
+def test_tabulated_correlation_matches_kernel(rng):
+    # the one-pass table against the per-point sum over the support
+    kernels = [BAD, BCPP3] + [random_single_offset_kernel(rng, int(rng.integers(1, 4)))
+                              for _ in range(10)]
+    for k in kernels:
+        g = fk.GammaTable(k)
+        for w in fk._l1_ball(k.d, 2 * k.r_K + 1):
+            assert abs(g.correlation(w) - k.correlation(w)) < 1e-14
+
+
 def test_potential_under_orthogonality(rng):
     # V(u) = 2 kappa_1 + kappa_2 delta_{u,0} for single-site-update kernels
     for _ in range(40):
@@ -64,6 +76,12 @@ def test_identity_kernel_gamma_zero():
     assert g.potential((0,)) == 0.0 and g.potential((1,)) == 0.0
     assert not g.x_jump_rates((0,)) and not g.x_jump_rates((1,))
     assert g.diagonal_entry((0,)) == 0.0
+
+
+def test_validate_reports_k4_violations_in_ball_order():
+    k4 = [v for v in validate_kernel(BAD).violations if v[0] == "k4_orthogonal"]
+    assert [v[1] for v in k4] == [(-1,), (1,)]
+    assert all(abs(v[2] - 0.5) <= 1e-15 for v in k4)
 
 
 def test_offdiag_rates_nonnegative(rng):
@@ -89,6 +107,74 @@ def test_y_chain_rates_bcpp():
 
 
 # -- oracle -----------------------------------------------------------------
+
+
+def _reference_pair_generator(kernel, R):
+    """Gamma assembled pair by pair from the table's rates: the reference
+    the Kronecker-sum builder must reproduce."""
+    table = fk.GammaTable(kernel)
+    sites = fk._box_sites(kernel.d, R)
+    index = {s: i for i, s in enumerate(sites)}
+    M = len(sites)
+    A = np.zeros((M * M, M * M))
+    for x in sites:
+        for xt in sites:
+            w = tuple(a - b for a, b in zip(x, xt))
+            src = index[x] * M + index[xt]
+            A[src, src] = table.diagonal_entry(w)
+            for (dy, dyt), rate in table.x_jump_rates(w):
+                y = tuple(a + b for a, b in zip(x, dy))
+                yt = tuple(a + b for a, b in zip(xt, dyt))
+                if y in index and yt in index:  # absorbing exterior
+                    A[src, index[y] * M + index[yt]] += rate
+    return A
+
+
+def test_pair_generator_matches_per_pair_assembly(rng):
+    cases = [(BCPP1, 5), (make_bcpp_kernel(2, 1.0), 2), (BAD, 4)]
+    cases += [(random_single_offset_kernel(rng, d), R)
+              for d, R in [(1, 4), (1, 5), (2, 2), (2, 2)]]
+    for kernel, R in cases:
+        A = fk._pair_generator(fk.GammaTable(kernel), R).toarray()
+        assert np.abs(A - _reference_pair_generator(kernel, R)).max() <= 1e-15
+
+
+def test_box_generator_entries():
+    walk = walk_from_kernel(make_bcpp_kernel(2, 1.0))
+    sites = fk._box_sites(2, 3)
+    potential = np.arange(len(sites), dtype=float)
+    A = fk._box_generator(walk, 3, potential).toarray()
+    i = {s: k for k, s in enumerate(sites)}
+    assert np.allclose(np.diag(A), potential - walk.total_rate, rtol=0, atol=1e-15)
+    off = A - np.diag(np.diag(A))
+    assert off[i[(0, 0)], i[(1, 0)]] == walk.rates[(1, 0)]
+    assert off[i[(3, 0)], i[(2, 0)]] == walk.rates[(-1, 0)]
+    # the walk is killed at the edge: 4 neighbours inside, 3 on a side, 2 at a corner
+    assert [np.count_nonzero(off[i[s]]) for s in [(0, 0), (3, 0), (3, -3)]] == [4, 3, 2]
+
+
+def test_oracle_d2_matches_one_walk_solve():
+    # P[|etabar_t|^2] two ways: the pair box at d = 2 (83,521 pair states)
+    # and the symmetrized walk's Schrodinger semigroup on its own box
+    t = 0.5
+    sol = fk.oracle_two_point(make_bcpp_kernel(2, 1.0), [((0, 0), 1.0)], [t], 8)
+    exact = fk.exp_local_time_moment(make_bcpp_kernel(2, 1.0), t)
+    assert abs(sol.normalized(0).sum() - exact) <= 1e-5 * exact
+    assert np.allclose(sol.u[0], sol.u[0].T, rtol=0, atol=1e-12)
+
+
+def test_oracle_rejects_decreasing_times():
+    with pytest.raises(fk.FeynmanKacError, match="increasing"):
+        fk.oracle_two_point(BCPP1, [((0,), 1.0)], [0.5, 0.2], 3)
+
+
+def test_oracle_repeated_time_and_degenerate_kernel():
+    sol = fk.oracle_two_point(BCPP1, [((0,), 1.0)], [0.3, 0.3], 4)
+    assert np.array_equal(sol.u[0], sol.u[1])
+    # pure death: no mass moves, u(t, 0, 0) = exp((2 kappa_1 + kappa_2) t)
+    death = Kernel(1, [(1.0, {})])
+    sol = fk.oracle_two_point(death, [((0,), 1.0)], [0.7], 2)
+    assert abs(sol.value(0, (0,), (0,)) - math.exp(-0.7)) < 1e-12
 
 
 def test_oracle_initial_condition():
