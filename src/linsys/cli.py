@@ -257,18 +257,22 @@ def _cmd_simulate(cfg):
                  "occupied", "extinct"]
                 + [f"m1_{i + 1}" for i in range(d)]
                 + [f"m2_{i + 1}{j + 1}" for i in range(d) for j in range(d)])
+        rows = summary.rows
+        col = rows.names.index
+        head = [col(n) for n in ("normalized_total", "rho_star", "overlap")]
+        occupied = col("occupied")
+        moments = ([col(f"m1_{i}") for i in range(d)]
+                   + [col(f"m2_{i}{j}") for i in range(d) for j in range(d)])
         with open(csv_path, "w") as fh:
             fh.write(",".join(cols) + "\n")
-            for r, rec in engine.trajectory_records(
-                    cfg.kernel, cfg.initial, cfg.t_grid, cfg.replicas,
-                    cfg.seed, dual=cfg.dual, max_occupied=cfg.max_occupied):
-                # plain Python numbers: repr() of a numpy scalar is not a number
-                row = ([int(r), float(rec.t), float(rec.normalized_total),
-                        float(rec.rho_star), float(rec.overlap),
-                        int(rec.occupied), int(rec.extinct)]
-                       + [float(v) for v in rec.weighted_moment_1]
-                       + [float(v) for v in rec.weighted_moment_2.ravel()])
-                fh.write(",".join(repr(v) for v in row) + "\n")
+            for r, n in enumerate(rows.recorded):
+                for j in range(n):
+                    v = rows.values[r, j]
+                    # plain Python numbers: repr() of a numpy scalar is not a number
+                    row = ([r, float(rows.t[r, j])] + [float(v[i]) for i in head]
+                           + [int(v[occupied]), int(v[occupied] == 0)]
+                           + [float(v[i]) for i in moments])
+                    fh.write(",".join(repr(x) for x in row) + "\n")
     return 0
 
 

@@ -330,13 +330,11 @@ class ProcessState:
 
     def site_array(self):
         """(coords, masses) as numpy arrays, in packed-key order."""
-        keys = list(self.masses)
-        coords = np.empty((len(keys), self.d), dtype=np.int64)
-        vals = np.empty(len(keys))
-        for i, k in enumerate(keys):
-            coords[i] = unpack_site(k, self.d)
-            vals[i] = self.masses[k]
-        return coords, vals
+        n = len(self.masses)
+        keys = np.fromiter(self.masses, dtype=np.int64, count=n)
+        shifts = _BITS * np.arange(self.d)
+        coords = ((keys[:, None] >> shifts) & _MASK) - _OFF
+        return coords, np.fromiter(self.masses.values(), dtype=float, count=n)
 
 
 def replica_seed(base_seed, r):
@@ -404,13 +402,32 @@ def observables(state: ProcessState, test_functions=None) -> ObservableRecord:
 
 
 @dataclass(eq=False)
+class ReplicaRows:
+    """Per-replica records of one ensemble pass, in replica order.
+
+    ``values[r, j]`` holds the ``names`` columns of replica r at the j-th
+    grid time (it survived iff its "occupied" count is positive) and
+    ``t[r, j]`` its engine clock there (accumulated, so it can differ from
+    the grid value in the last bit).  Only the first ``recorded[r]`` grid
+    times are filled: fewer than all of them when the replica was
+    truncated.
+    """
+    names: list
+    values: np.ndarray
+    t: np.ndarray
+    recorded: np.ndarray
+
+
+@dataclass(eq=False)
 class EnsembleSummary:
     """Per-time ensemble statistics over replicas.
 
     ``stats[name]`` has arrays mean/var/se/n of shape (len(t_grid),)
     under both conditionings: "all" replicas and "surviving" (occupied at
     the record time; survival-at-t is the finite-time proxy for surviving
-    forever, recorded as such in the metadata).
+    forever, recorded as such in the metadata).  ``rows`` holds every
+    replica's records, truncated ones included; it is not part of
+    ``to_dict``.
     """
     t_grid: tuple
     replicas: int
@@ -418,6 +435,7 @@ class EnsembleSummary:
     survival_fraction: np.ndarray
     stats: dict
     metadata: dict
+    rows: ReplicaRows
 
     def stat(self, name, which="all"):
         return self.stats[name][which]
@@ -463,14 +481,15 @@ def _record_row(rec, d, battery_names):
 
 def _run_replicas(kernel_dict, initial, t_grid, dual, base_seed, lo, hi,
                   max_occupied, battery_spec):
-    """Worker: trajectories for replicas [lo, hi); returns raw rows."""
+    """Worker: trajectories for replicas [lo, hi); returns raw rows, engine
+    clocks and the count of recorded grid times."""
     kernel = Kernel.from_dict(kernel_dict)
     test_functions = _build_battery_functions(battery_spec, kernel)
     battery_names = sorted(test_functions) if test_functions else []
     d = kernel.d
-    out = np.empty((hi - lo, len(t_grid), len(_scalar_names(d, battery_names))))
-    surv = np.empty((hi - lo, len(t_grid)), dtype=bool)
-    trunc = np.zeros(hi - lo, dtype=bool)
+    out = np.zeros((hi - lo, len(t_grid), len(_scalar_names(d, battery_names))))
+    clock = np.zeros((hi - lo, len(t_grid)))
+    recorded = np.zeros(hi - lo, dtype=np.int64)
     for r in range(lo, hi):
         state = init_state(kernel, initial, dual=dual,
                            seed=replica_seed(base_seed, r))
@@ -480,12 +499,12 @@ def _run_replicas(kernel_dict, initial, t_grid, dual, base_seed, lo, hi,
             state.advance(t - prev)
             prev = t
             if state.truncated:
-                trunc[r - lo] = True
                 break
             rec = observables(state, test_functions)
             out[r - lo, j] = _record_row(rec, d, battery_names)
-            surv[r - lo, j] = not rec.extinct
-    return out, surv, trunc
+            clock[r - lo, j] = rec.t
+            recorded[r - lo] = j + 1
+    return out, clock, recorded
 
 
 def _build_battery_functions(battery_spec, kernel):
@@ -527,17 +546,14 @@ def run_ensemble(kernel: Kernel, initial, t_grid, replicas, base_seed,
     else:
         parts = [_run_replicas_star(a) for a in args]
 
-    rows = np.concatenate([p[0] for p in parts], axis=0)
-    surv = np.concatenate([p[1] for p in parts], axis=0)
-    trunc = np.concatenate([p[2] for p in parts], axis=0)
-
-    keep = ~trunc
-    rows, surv = rows[keep], surv[keep]
+    rows = ReplicaRows(names, *map(np.concatenate, zip(*parts)))
+    keep = rows.recorded == len(t_grid)
+    surv = rows.values[keep, :, names.index("occupied")] > 0
     n_kept = int(keep.sum())
 
     stats = {}
     for i, name in enumerate(names):
-        col = rows[:, :, i]
+        col = rows.values[keep, :, i]
         stats[name] = {
             "all": _column_stats(col, np.ones_like(surv)),
             "surviving": _column_stats(col, surv),
@@ -545,7 +561,7 @@ def run_ensemble(kernel: Kernel, initial, t_grid, replicas, base_seed,
     return EnsembleSummary(
         t_grid=tuple(t_grid),
         replicas=n_kept,
-        truncated=int(trunc.sum()),
+        truncated=replicas - n_kept,
         survival_fraction=surv.mean(axis=0) if n_kept else np.zeros(len(t_grid)),
         stats=stats,
         metadata={
@@ -556,6 +572,7 @@ def run_ensemble(kernel: Kernel, initial, t_grid, replicas, base_seed,
             "conditioning": "survival at record time (finite-t proxy)",
             "battery": battery_names,
         },
+        rows=rows,
     )
 
 
@@ -578,21 +595,3 @@ def _column_stats(col, mask):
             se[j] = math.sqrt(var[j] / sel.size) if sel.size > 1 else 0.0
     return {"mean": mean, "var": var, "se": se, "n": n}
 
-
-def trajectory_records(kernel, initial, t_grid, replicas, base_seed,
-                       dual=False, max_occupied=5_000_000):
-    """Raw per-replica records for CSV export (replica-major order)."""
-    rows = []
-    for r in range(replicas):
-        state = init_state(kernel, initial, dual=dual,
-                           seed=replica_seed(base_seed, r))
-        state.max_occupied = max_occupied
-        prev = 0.0
-        for t in t_grid:
-            state.advance(t - prev)
-            prev = t
-            if state.truncated:
-                break
-            rec = observables(state)
-            rows.append((r, rec))
-    return rows

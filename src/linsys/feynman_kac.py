@@ -629,23 +629,6 @@ def fk3_limit_estimate(kernel: Kernel, offset, t, samples, seed, f=None,
                                     "max_weight_share": float(w_max / w_sum)})
 
 
-def pair_mass_correlation(kernel: Kernel, offset, t, samples, seed) -> EstimateResult:
-    """E_S^offset[exp(kappa_2/2 * local time at 0 up to 2t)].
-
-    Equals P[|etabar_t^a| |etabar_t^b|] for point masses at a, b with
-    a - b = offset, and converges to 1 + kappa_2 G(offset)/(2 - kappa_2 G(0)).
-    """
-    mom = kernel_moments(kernel)
-    walk = walk_from_kernel(kernel)
-    rng = np.random.Generator(np.random.Philox(
-        np.random.SeedSequence([int(seed) & 0xFFFFFFFFFFFFFFFF, 0x1D7])))
-    pos, loc = simulate_walk(walk, tuple(offset), 2.0 * float(t), samples, rng)
-    vals = np.exp(0.5 * mom.kappa2 * loc)
-    return EstimateResult(value=float(vals.mean()),
-                          standard_error=float(vals.std(ddof=1) / math.sqrt(samples)),
-                          samples=samples)
-
-
 # ---------------------------------------------------------------------------
 # Dual pair-chain simulation
 

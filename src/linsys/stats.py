@@ -160,6 +160,16 @@ def battery_references(kernel: Kernel):
 # Checks
 
 
+def _fail_if_truncated(summary, results):
+    """An ensemble that dropped truncated replicas is biased toward paths
+    that did not explode, so no check on it passes."""
+    if summary.truncated:
+        for res in results:
+            res.passed = False
+            res.notes["truncated"] = summary.truncated
+    return results
+
+
 def martingale_check(summary, k=3.0, normalized=True) -> CheckResult:
     """Mean |etabar_t| equals the initial total mass at every grid time.
 
@@ -181,7 +191,7 @@ def martingale_check(summary, k=3.0, normalized=True) -> CheckResult:
         means[worst], eta0, 0.0, ses[worst], k=k,
         notes={"t_grid": list(summary.t_grid), "means": means, "ses": ses})
     res.passed = bool(np.all(devs <= slack))
-    return res
+    return _fail_if_truncated(summary, [res])[0]
 
 
 def clt_check(summary, kernel: Kernel, rel_tol_bounded=0.05,
@@ -227,7 +237,7 @@ def clt_check(summary, kernel: Kernel, rel_tol_bounded=0.05,
                "worst_function": worst_name, "ratios": ratios,
                "threshold_ratios": thresh})
     out.append(shrink)
-    return out
+    return _fail_if_truncated(summary, out)
 
 
 def overlap_decay_check(kernel: Kernel, t_grid, samples, seed,
@@ -275,12 +285,12 @@ def overlap_decay_check(kernel: Kernel, t_grid, samples, seed,
 
 def covariance_limit_check(kernel: Kernel, a, b, t, samples, seed,
                            summary=None, rel_tol=0.10, k=3.0,
-                           resolution=None, method="htilt") -> CheckResult:
+                           resolution=None) -> CheckResult:
     """Weighted-walk estimate of P[|etabar_inf^a| |etabar_inf^b|] against
     the closed form 1 + kappa_2 G(a-b)/(2 - kappa_2 G(0)).
 
     The estimator truncates the walk at time 2t, so t must be large; the
-    truncation sits below the limit.  ``method="htilt"`` uses the
+    truncation sits below the limit.  The estimate is the
     importance-sampled weighted walk (bounded weights; the plain weight
     has a Pareto tail with index barely above 1 here, whose unseen tail
     events bias the sample mean low at any feasible sample size).  When
@@ -290,10 +300,7 @@ def covariance_limit_check(kernel: Kernel, a, b, t, samples, seed,
     walk path, the only one that can reach large t)."""
     w0 = tuple(int(x) - int(y) for x, y in zip(a, b))
     ref = walk_mod.h_of_x(kernel, [w0], resolution=resolution)[w0]
-    if method == "htilt":
-        est = fk.fk3_limit_estimate(kernel, w0, t, samples, seed)
-    else:
-        est = fk.pair_mass_correlation(kernel, w0, t, samples, seed)
+    est = fk.fk3_limit_estimate(kernel, w0, t, samples, seed)
     res = CheckResult.evaluate(f"covariance|a-b|={sum(map(abs, w0))}",
                                est.value, ref, rel_tol * ref,
                                est.standard_error, k=k,
@@ -308,10 +315,7 @@ def covariance_limit_check(kernel: Kernel, a, b, t, samples, seed,
         st = summary.stat("normalized_total_sq", "all")
         j = 0
         ens_t = tj[j]
-        if method == "htilt":
-            direct = fk.fk3_limit_estimate(kernel, w0, ens_t, samples, seed + 1)
-        else:
-            direct = fk.pair_mass_correlation(kernel, w0, ens_t, samples, seed + 1)
+        direct = fk.fk3_limit_estimate(kernel, w0, ens_t, samples, seed + 1)
         se_pair = math.hypot(st["se"][j], direct.standard_error)
         res.notes["ensemble"] = {
             "t": ens_t, "mean_sq": st["mean"][j], "se": st["se"][j],

@@ -30,9 +30,10 @@ BCPP1 = make_bcpp_kernel(1, 1.0)
 ORIGIN3 = (0, 0, 0)
 PI3 = 0.3405
 
-# Heavy fixtures are memoized on disk (exact reruns are byte-identical by
-# the determinism contract, so a cache hit changes nothing); delete the
-# directory or set LINSYS_TEST_CACHE=off for a cold run.  The key covers
+# Heavy fixtures and criterion 9's walk estimates are memoized on disk
+# (exact reruns are byte-identical by the determinism contract, so a cache
+# hit changes nothing); delete the directory or set LINSYS_TEST_CACHE=off
+# for a cold run.  The key covers
 # the package source and the numpy version, so a pickle built by other
 # code is never replayed.
 _CACHE_DIR = os.environ.get("LINSYS_TEST_CACHE", "/tmp/linsys_test_cache")
@@ -73,11 +74,14 @@ def _report(num, name, passed, detail=""):
 # -- shared heavy fixtures ---------------------------------------------------
 
 
+def _big_ensemble_key():
+    return ("big_ensemble", BCPP3.to_dict(), stats.battery_table(BCPP3), 1001)
+
+
 @pytest.fixture(scope="module")
 def big_ensemble():
     # 2e4 replicas recorded at t in {5, 10, 20, 30} with the CLT battery
-    key = ("big_ensemble", BCPP3.to_dict(), stats.battery_table(BCPP3), 1001)
-    return _cached(key, lambda: run_ensemble(
+    return _cached(_big_ensemble_key(), lambda: run_ensemble(
         BCPP3, [(ORIGIN3, 1.0)], [5.0, 10.0, 20.0, 30.0], 20_000,
         base_seed=1001, threads=2, battery=stats.default_battery))
 
@@ -244,17 +248,19 @@ def test_criterion_09_covariance_formula(big_ensemble, limit_estimate_origin):
         if w == ORIGIN3:
             est = limit_estimate_origin
         else:
-            est = fk.fk3_limit_estimate(BCPP3, w, 2500.0, 20_000,
-                                        seed=9009 + i)
+            est = _cached(("limit", BCPP3.to_dict(), w, 2500.0, 20_000, 9009 + i),
+                          lambda: fk.fk3_limit_estimate(BCPP3, w, 2500.0, 20_000,
+                                                        seed=9009 + i))
         ref = h[w]
         good = abs(est.value - ref) <= max(0.10 * ref, 3 * est.standard_error)
         ok = ok and good
         details.append(f"|a-b|={sum(map(abs, w))}: {est.value:.3f} vs {ref:.3f}")
     # mutual consistency of the walk estimate and the ensemble second
     # moment at the same finite t (the closed form lives at t = infinity)
-    res = stats.covariance_limit_check(BCPP3, ORIGIN3, ORIGIN3, 2500.0,
-                                       20_000, seed=9990,
-                                       summary=big_ensemble)
+    res = _cached(("covariance_check", _big_ensemble_key(), 2500.0, 20_000, 9990),
+                  lambda: stats.covariance_limit_check(BCPP3, ORIGIN3, ORIGIN3,
+                                                       2500.0, 20_000, seed=9990,
+                                                       summary=big_ensemble))
     ens = res.notes["ensemble"]
     ok = ok and ens["agree"]
     details.append(f"paths at t={ens['t']}: ensemble "

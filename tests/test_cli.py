@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from linsys import cli
+from linsys import cli, engine
 from linsys.cli import ConfigError, main, parse_config
 
 
@@ -106,8 +106,80 @@ def test_cli_simulate_thread_independence(tmp_path):
         rc = main(["simulate", json.dumps(cfg), "--threads", str(threads),
                    "--output-dir", str(d)])
         assert rc == 0
-        blobs.append((d / "summary.json").read_bytes())
+        blobs.append(((d / "summary.json").read_bytes(),
+                      (d / "trajectories.csv").read_bytes()))
     assert blobs[0] == blobs[1]
+
+
+def _reference_csv_rows(cfg):
+    # one trajectory per replica, recorded the way the ensemble records it
+    kernel = parse_config(json.dumps(cfg)).kernel
+    lines = []
+    for r in range(cfg["replicas"]):
+        st = engine.init_state(kernel, [((0, 0, 0), 1.0)],
+                               seed=engine.replica_seed(cfg["seed"], r))
+        st.max_occupied = cfg["max_occupied"]
+        prev = 0.0
+        for t in cfg["t_grid"]:
+            st.advance(t - prev)
+            prev = t
+            if st.truncated:
+                break
+            rec = engine.observables(st)
+            row = ([r, rec.t, rec.normalized_total, rec.rho_star, rec.overlap,
+                    rec.occupied, int(rec.extinct)]
+                   + rec.weighted_moment_1.tolist()
+                   + rec.weighted_moment_2.ravel().tolist())
+            lines.append(",".join(repr(v) for v in row))
+    return lines
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_cli_simulate_csv_matches_per_replica_reference(tmp_path, threads):
+    cfg = {"bcpp": {"d": 3, "lambda": 1.0},
+           "initial": [{"x": [0, 0, 0], "mass": 1}],
+           "t_grid": [1.0, 3.0, 6.0], "replicas": 40, "seed": 5,
+           "max_occupied": 8, "battery": True}
+    rc = main(["simulate", json.dumps(cfg), "--threads", str(threads),
+               "--output-dir", str(tmp_path)])
+    assert rc == 0
+    lines = (tmp_path / "trajectories.csv").read_text().splitlines()[1:]
+    expected = _reference_csv_rows(cfg)
+    assert lines == expected
+    per_replica = [sum(row.startswith(f"{r},") for row in expected)
+                   for r in range(40)]
+    truncated = json.loads((tmp_path / "summary.json").read_text())["truncated"]
+    assert truncated == sum(n < 3 for n in per_replica)
+    assert any(0 < n < 3 for n in per_replica)  # a truncated row prefix
+
+
+def test_cli_simulate_runs_each_replica_once(tmp_path, monkeypatch):
+    calls = []
+    init_state = engine.init_state
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return init_state(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "init_state", counting)
+    cfg = {"bcpp": {"d": 3, "lambda": 1.0}, "t_grid": [0.5, 1.0],
+           "replicas": 25, "seed": 2}
+    rc = main(["simulate", json.dumps(cfg), "--threads", "1",
+               "--output-dir", str(tmp_path)])
+    assert rc == 0
+    assert len(calls) == 25
+    assert len((tmp_path / "trajectories.csv").read_text().splitlines()) == 51
+
+
+@pytest.mark.parametrize("command", ["verify-martingale", "verify-clt"])
+def test_cli_checks_fail_on_truncated_replicas(tmp_path, command):
+    cfg = {"bcpp": {"d": 3, "lambda": 1.0}, "t_grid": [6.0], "replicas": 40,
+           "seed": 5, "max_occupied": 8, "output_dir": str(tmp_path)}
+    assert main([command, json.dumps(cfg)]) == 1
+    name = command.replace("-", "_")
+    checks = json.loads((tmp_path / f"{name}.json").read_text())["checks"]
+    assert checks and all(not c["passed"] and c["notes"]["truncated"] > 0
+                          for c in checks)
 
 
 def test_cli_simulate_csv_cells_are_numbers(tmp_path):

@@ -19,6 +19,20 @@ def test_pack_round_trip(rng):
         assert unpack_site(pack_site(x), 3) == x
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_site_array_matches_unpack_site(d):
+    kernel = make_bcpp_kernel(d, 1.0)
+    initial = [((-3,) * d, 1.0), ((0,) * d, 2.0), (tuple(range(-1, d - 1)), 0.5)]
+    st = init_state(kernel, initial, seed=4)
+    st.advance(2.0)
+    coords, vals = st.site_array()
+    assert coords.dtype == np.int64 and coords.shape == (len(st.masses), d)
+    assert [tuple(c) for c in coords.tolist()] == \
+        [unpack_site(k, d) for k in st.masses]
+    assert vals.tolist() == list(st.masses.values())
+    assert coords.min() < 0
+
+
 def test_init_single_particle():
     st = init_state(BCPP3, [(ORIGIN3, 1.0)], seed=0)
     rec = observables(st)

@@ -326,7 +326,7 @@ def test_one_point_vs_ensemble_means():
 
 def test_exact_moment_matches_plain_estimator():
     exact = fk.exp_local_time_moment(BCPP3, 5.0)
-    res = fk.pair_mass_correlation(BCPP3, (0, 0, 0), 5.0, 400_000, seed=8)
+    res = fk.fk3_estimate(BCPP3, [((0, 0, 0), 1.0)], 5.0, fk.f_one, 400_000, seed=8)
     assert abs(res.value - exact) <= 4 * res.standard_error
 
 
