@@ -30,6 +30,7 @@ import math
 from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -44,7 +45,8 @@ _MASK = (1 << _BITS) - 1
 _RESCALE_HI = 1e200
 _RESCALE_LO = 1e-200
 _AUDIT_EVERY = 4096
-_URAND_BUF = 8192
+_FIRST_CHUNK = 256
+_MAX_CHUNK = 8192
 
 
 class EngineError(RuntimeError):
@@ -84,34 +86,19 @@ class ObservableRecord:
     battery: dict = field(default_factory=dict)
 
 
-class ProcessState:
-    """Mutable simulation state for one trajectory (single-threaded)."""
+class _KernelTables:
+    """Per-kernel constants of the event loop: moments and atom tables.
 
-    def __init__(self, kernel: Kernel, initial, dual, seed):
-        if not initial:
-            raise EngineError("initial configuration is empty; the process "
-                              "would be identically zero")
+    ``init_state`` builds them from a kernel, or takes them prebuilt, so
+    a replica worker builds them once for all its replicas."""
+
+    def __init__(self, kernel: Kernel):
         self.kernel = kernel
         self.d = kernel.d
-        self.dual = bool(dual)
-        self.t = 0.0
-        self.log_scale = 0.0
-        self.extinct = False
-        self.truncated = False
-        self.max_occupied = 5_000_000
         mom = kernel_moments(kernel)
         self.kappa1 = mom.kappa1
         self.drift = mom.drift
-
-        self.masses = {}
-        for x, m in initial:
-            m = float(m)
-            if m <= 0:
-                raise EngineError(f"initial mass at {x} must be > 0, got {m}")
-            key = pack_site(_check_coords(x, self.d))
-            self.masses[key] = self.masses.get(key, 0.0) + m
-
-        # atom tables: cumulative probabilities for the draw, then per-atom
+        # cumulative probabilities for the draw, then per-atom
         # (xi_0, ((packed offset, value), ...)) with offset 0 split out for
         # the forward update and kept inline for the dual read
         cum = []
@@ -126,77 +113,72 @@ class ProcessState:
                               if u != zero)))
             dualrd.append(tuple((_pack_delta(u), v) for u, v in sorted(vec.items())))
         cum[-1] = 1.0 + 1e-15
-        self._atom_cum = cum
-        self._atoms_fwd = fwd
-        self._atoms_dual = dualrd
+        self.atom_cum = cum
+        self.atoms_fwd = fwd
+        self.atoms_dual = dualrd
+        # the dual reads these offsets: an empty site within them of mass
+        # can still be written to
+        reads = sorted({u for _, vec in kernel.atoms for u in vec} | {zero})
+        self.read_deltas = tuple(_pack_delta(u) for u in reads)
+
+
+def _uniform_chunks(rng):
+    """Uniforms of rng as lists of Python floats, in chunks doubling from
+    _FIRST_CHUNK to _MAX_CHUNK; the values do not depend on the chunking."""
+    n = _FIRST_CHUNK
+    while True:
+        yield rng.random(n).tolist()
+        n = min(2 * n, _MAX_CHUNK)
+
+
+class ProcessState:
+    """Mutable simulation state for one trajectory (single-threaded)."""
+
+    def __init__(self, tables: _KernelTables, initial, dual, seed):
+        if not initial:
+            raise EngineError("initial configuration is empty; the process "
+                              "would be identically zero")
+        self.kernel = tables.kernel
+        self.d = tables.d
+        self.dual = bool(dual)
+        self.t = 0.0
+        self.log_scale = 0.0
+        self.extinct = False
+        self.truncated = False
+        self.max_occupied = 5_000_000
+        self.kappa1 = tables.kappa1
+        self.drift = tables.drift
+        self._tables = tables
+
+        self.masses = {}
+        for x, m in initial:
+            m = float(m)
+            if m <= 0:
+                raise EngineError(f"initial mass at {x} must be > 0, got {m}")
+            key = pack_site(_check_coords(x, self.d))
+            self.masses[key] = self.masses.get(key, 0.0) + m
 
         # active-site bookkeeping: list + position map with O(1) uniform
         # pick and swap-remove; for the dual, reference counts over the
         # read offsets decide which empty sites can still be written to
-        self._active = []
-        self._active_pos = {}
+        self._halo_count = {}
         if self.dual:
-            reads = sorted({u for _, vec in kernel.atoms for u in vec} | {zero})
-            self._read_deltas = tuple(_pack_delta(u) for u in reads)
-            self._halo_count = {}
             for key in self.masses:
-                self._flip_on_dual(key)
-        else:
-            for key in self.masses:
-                self._activate(key)
+                for du in tables.read_deltas:
+                    z = key - du
+                    self._halo_count[z] = self._halo_count.get(z, 0) + 1
+        self._active = list(self._halo_count if self.dual else self.masses)
+        self._active_pos = {key: i for i, key in enumerate(self._active)}
 
         if isinstance(seed, np.random.SeedSequence):
             ss = seed
         else:
             ss = np.random.SeedSequence(int(seed) & 0xFFFFFFFFFFFFFFFF)
-        self._rng = np.random.Generator(np.random.Philox(ss))
-        self._buf = self._rng.random(_URAND_BUF)
-        self._bufi = 0
+        rng = np.random.Generator(np.random.Philox(ss))
+        # the stream's uniforms, strictly in order, one Python float a call
+        self._uniform = chain.from_iterable(_uniform_chunks(rng)).__next__
         self._events = 0
         self._trace = None  # set to a list to record (site, atom, mass) per event
-
-    # -- active-set maintenance -------------------------------------------
-
-    def _activate(self, key):
-        self._active_pos[key] = len(self._active)
-        self._active.append(key)
-
-    def _deactivate(self, key):
-        pos = self._active_pos.pop(key)
-        last = self._active.pop()
-        if last != key:
-            self._active[pos] = last
-            self._active_pos[last] = pos
-
-    def _flip_on_dual(self, key):
-        cnt = self._halo_count
-        for du in self._read_deltas:
-            z = key - du
-            c = cnt.get(z, 0)
-            cnt[z] = c + 1
-            if c == 0:
-                self._activate(z)
-
-    def _flip_off_dual(self, key):
-        cnt = self._halo_count
-        for du in self._read_deltas:
-            z = key - du
-            c = cnt[z] - 1
-            if c:
-                cnt[z] = c
-            else:
-                del cnt[z]
-                self._deactivate(z)
-
-    # -- uniforms ------------------------------------------------------------
-
-    def _u(self):
-        i = self._bufi
-        if i == _URAND_BUF:
-            self._buf = self._rng.random(_URAND_BUF)
-            i = 0
-        self._bufi = i + 1
-        return self._buf[i]
 
     # -- audits ----------------------------------------------------------
 
@@ -222,6 +204,11 @@ class ProcessState:
     # -- core loop ---------------------------------------------------------
 
     def advance(self, duration):
+        """Run the events of the next ``duration`` time units.
+
+        The loop state lives in locals and is written back on exit; the
+        active-set updates are inlined.  Each event draws three uniforms
+        in stream order: waiting time, site, atom."""
         if duration < 0:
             raise EngineError("duration must be nonnegative")
         target = self.t + duration
@@ -229,96 +216,134 @@ class ProcessState:
             self.t = target
             return self
         masses = self.masses
+        get = masses.get
         active = self._active
-        u = self._u
-        cum = self._atom_cum
+        pos = self._active_pos
+        u = self._uniform
+        tables = self._tables
+        cum = tables.atom_cum
         log = math.log
-        if self.dual:
-            atoms = self._atoms_dual
-            while True:
-                n = len(active)
-                if n == 0:
-                    self.extinct = True
-                    self.t = target
-                    break
-                dt = -log(1.0 - u()) / n
-                if self.t + dt >= target:
-                    self.t = target
-                    break
-                self.t += dt
-                z = active[int(u() * n)]
-                ai = bisect_right(cum, u())
-                entries = atoms[ai]
-                new = 0.0
-                for du, val in entries:
-                    m = masses.get(z + du)
-                    if m is not None:
-                        new += val * m
-                old = masses.get(z)
-                if self._trace is not None:
-                    self._trace.append((z, ai, old if old is not None else 0.0))
-                if old is None:
-                    if new > 0.0:
+        trace = self._trace
+        cap = self.max_occupied
+        t = self.t
+        events = self._events
+        n = len(active)
+        try:
+            if self.dual:
+                atoms = tables.atoms_dual
+                reads = tables.read_deltas
+                cnt = self._halo_count
+                while True:
+                    if n == 0:
+                        self.extinct = True
+                        t = target
+                        break
+                    dt = -log(1.0 - u()) / n
+                    if t + dt >= target:
+                        t = target
+                        break
+                    t += dt
+                    z = active[int(u() * n)]
+                    ai = bisect_right(cum, u())
+                    new = 0.0
+                    for du, val in atoms[ai]:
+                        m = get(z + du)
+                        if m is not None:
+                            new += val * m
+                    old = get(z)
+                    if trace is not None:
+                        trace.append((z, ai, old if old is not None else 0.0))
+                    if old is None:
+                        if new > 0.0:
+                            masses[z] = new
+                            for du in reads:  # z turns on: its halo grows
+                                w = z - du
+                                c = cnt.get(w, 0)
+                                cnt[w] = c + 1
+                                if c == 0:
+                                    pos[w] = n
+                                    active.append(w)
+                                    n += 1
+                    elif new > 0.0:
                         masses[z] = new
-                        self._flip_on_dual(z)
-                elif new > 0.0:
-                    masses[z] = new
-                else:
-                    del masses[z]
-                    self._flip_off_dual(z)
-                self._events += 1
-                if new >= 1e250:  # rescale before doubles can overflow
-                    self._audit()
-                if not self._events % _AUDIT_EVERY:
-                    self._audit()
-                if len(masses) > self.max_occupied:
-                    self.truncated = True
-                    return self
-        else:
-            atoms = self._atoms_fwd
-            while True:
-                n = len(active)
-                if n == 0:
-                    self.extinct = True
-                    self.t = target
-                    break
-                dt = -log(1.0 - u()) / n
-                if self.t + dt >= target:
-                    self.t = target
-                    break
-                self.t += dt
-                z = active[int(u() * n)]
-                ai = bisect_right(cum, u())
-                k0, entries = atoms[ai]
-                mz = masses[z]
-                if self._trace is not None:
-                    self._trace.append((z, ai, mz))
-                for du, val in entries:
-                    y = z + du
-                    m = masses.get(y)
-                    if m is None:
-                        masses[y] = val * mz
-                        self._activate(y)
                     else:
-                        masses[y] = m + val * mz
-                if k0 == 0.0:
-                    del masses[z]
-                    self._deactivate(z)
-                elif k0 != 1.0:
-                    m = k0 * mz
-                    if m > 0.0:
-                        masses[z] = m
-                    else:  # underflow below double range: evict
                         del masses[z]
-                        self._deactivate(z)
-                self._events += 1
-                if mz >= 1e250:  # rescale before doubles can overflow
-                    self._audit()
-                if not self._events % _AUDIT_EVERY:
-                    self._audit()
-                if len(masses) > self.max_occupied:
-                    self.truncated = True
-                    return self
+                        for du in reads:  # z turns off: its halo shrinks
+                            w = z - du
+                            c = cnt[w] - 1
+                            if c:
+                                cnt[w] = c
+                            else:
+                                del cnt[w]
+                                n -= 1
+                                p = pos.pop(w)
+                                last = active.pop()
+                                if last != w:
+                                    active[p] = last
+                                    pos[last] = p
+                    events += 1
+                    if new >= 1e250:  # rescale before doubles can overflow
+                        self.t = t
+                        self._audit()
+                    if not events % _AUDIT_EVERY:
+                        self.t = t
+                        self._audit()
+                    if len(masses) > cap:
+                        self.truncated = True
+                        break
+            else:
+                atoms = tables.atoms_fwd
+                while True:
+                    if n == 0:
+                        self.extinct = True
+                        t = target
+                        break
+                    dt = -log(1.0 - u()) / n
+                    if t + dt >= target:
+                        t = target
+                        break
+                    t += dt
+                    z = active[int(u() * n)]
+                    ai = bisect_right(cum, u())
+                    k0, entries = atoms[ai]
+                    mz = masses[z]
+                    if trace is not None:
+                        trace.append((z, ai, mz))
+                    for du, val in entries:
+                        y = z + du
+                        m = get(y)
+                        if m is None:
+                            masses[y] = val * mz
+                            pos[y] = n
+                            active.append(y)
+                            n += 1
+                        else:
+                            masses[y] = m + val * mz
+                    if k0 != 1.0:
+                        m = k0 * mz
+                        if m > 0.0:
+                            masses[z] = m
+                        else:  # death, or underflow below double range
+                            del masses[z]
+                            n -= 1
+                            p = pos.pop(z)
+                            last = active.pop()
+                            if last != z:
+                                active[p] = last
+                                pos[last] = p
+                    events += 1
+                    if mz >= 1e250:  # rescale before doubles can overflow
+                        self.t = t
+                        self._audit()
+                    if not events % _AUDIT_EVERY:
+                        self.t = t
+                        self._audit()
+                    if n > cap:  # every occupied site is active
+                        self.truncated = True
+                        break
+        finally:
+            self.t = t
+            self._events = events
         return self
 
     # -- observables -------------------------------------------------------
@@ -352,7 +377,11 @@ def _check_coords(x, d):
 
 
 def init_state(kernel: Kernel, initial, dual=False, seed=0) -> ProcessState:
-    """Fresh state at t = 0 with a deterministic stream derived from seed."""
+    """Fresh state at t = 0 with a deterministic stream derived from seed.
+
+    ``kernel`` is a Kernel or the _KernelTables built from one."""
+    if not isinstance(kernel, _KernelTables):
+        kernel = _KernelTables(kernel)
     return ProcessState(kernel, list(initial), dual, seed)
 
 
@@ -426,8 +455,9 @@ class EnsembleSummary:
     under both conditionings: "all" replicas and "surviving" (occupied at
     the record time; survival-at-t is the finite-time proxy for surviving
     forever, recorded as such in the metadata).  ``rows`` holds every
-    replica's records, truncated ones included; it is not part of
-    ``to_dict``.
+    replica's records, truncated ones included, and ``diagnostics`` what
+    the pass cost ("events": engine events over all replicas); neither is
+    part of ``to_dict``.
     """
     t_grid: tuple
     replicas: int
@@ -436,6 +466,7 @@ class EnsembleSummary:
     stats: dict
     metadata: dict
     rows: ReplicaRows
+    diagnostics: dict
 
     def stat(self, name, which="all"):
         return self.stats[name][which]
@@ -482,16 +513,18 @@ def _record_row(rec, d, battery_names):
 def _run_replicas(kernel_dict, initial, t_grid, dual, base_seed, lo, hi,
                   max_occupied, battery_spec):
     """Worker: trajectories for replicas [lo, hi); returns raw rows, engine
-    clocks and the count of recorded grid times."""
+    clocks, the count of recorded grid times and the total event count."""
     kernel = Kernel.from_dict(kernel_dict)
+    tables = _KernelTables(kernel)
     test_functions = _build_battery_functions(battery_spec, kernel)
     battery_names = sorted(test_functions) if test_functions else []
     d = kernel.d
     out = np.zeros((hi - lo, len(t_grid), len(_scalar_names(d, battery_names))))
     clock = np.zeros((hi - lo, len(t_grid)))
     recorded = np.zeros(hi - lo, dtype=np.int64)
+    events = 0
     for r in range(lo, hi):
-        state = init_state(kernel, initial, dual=dual,
+        state = init_state(tables, initial, dual=dual,
                            seed=replica_seed(base_seed, r))
         state.max_occupied = max_occupied
         prev = 0.0
@@ -504,7 +537,8 @@ def _run_replicas(kernel_dict, initial, t_grid, dual, base_seed, lo, hi,
             out[r - lo, j] = _record_row(rec, d, battery_names)
             clock[r - lo, j] = rec.t
             recorded[r - lo] = j + 1
-    return out, clock, recorded
+        events += state._events
+    return out, clock, recorded, events
 
 
 def _build_battery_functions(battery_spec, kernel):
@@ -546,7 +580,8 @@ def run_ensemble(kernel: Kernel, initial, t_grid, replicas, base_seed,
     else:
         parts = [_run_replicas_star(a) for a in args]
 
-    rows = ReplicaRows(names, *map(np.concatenate, zip(*parts)))
+    *columns, events = zip(*parts)
+    rows = ReplicaRows(names, *map(np.concatenate, columns))
     keep = rows.recorded == len(t_grid)
     surv = rows.values[keep, :, names.index("occupied")] > 0
     n_kept = int(keep.sum())
@@ -573,6 +608,7 @@ def run_ensemble(kernel: Kernel, initial, t_grid, replicas, base_seed,
             "battery": battery_names,
         },
         rows=rows,
+        diagnostics={"events": sum(events)},
     )
 
 

@@ -317,10 +317,13 @@ def covariance_limit_check(kernel: Kernel, a, b, t, samples, seed,
         ens_t = tj[j]
         direct = fk.fk3_limit_estimate(kernel, w0, ens_t, samples, seed + 1)
         se_pair = math.hypot(st["se"][j], direct.standard_error)
+        # an ensemble that dropped truncated replicas is biased low
         res.notes["ensemble"] = {
             "t": ens_t, "mean_sq": st["mean"][j], "se": st["se"][j],
             "walk_at_same_t": direct.value, "walk_se": direct.standard_error,
-            "agree": bool(abs(st["mean"][j] - direct.value) <= k * se_pair),
+            "truncated": summary.truncated,
+            "agree": bool(not summary.truncated
+                          and abs(st["mean"][j] - direct.value) <= k * se_pair),
         }
     return res
 
@@ -346,13 +349,14 @@ def second_moment_boundedness_check(kernel: Kernel, summary,
     value, ok = walk_mod.survival_criterion(kernel, resolution=resolution)
     if not ok:
         growth = means[-1] / means[0] if means[0] > 0 else math.inf
-        return CheckResult(
+        res = CheckResult(
             name="second_moment_bound", observed=float(means[-1]),
             reference=math.inf, tolerance=0.0, standard_error=float(ses[-1]),
             k=k, passed=False,
             notes={"criterion_value": value, "trend": "unbounded",
                    "growth_factor": float(growth),
                    "means": means})
+        return _fail_if_truncated(summary, [res])[0]
 
     pair_offsets = {}
     for x, mx in initial:
@@ -387,7 +391,8 @@ def second_moment_boundedness_check(kernel: Kernel, summary,
         passed = passed and conv_ok and lower_ok
     else:
         notes["lower_ok"] = "not evaluated (needs a large-t limit estimate)"
-    return CheckResult(
+    res = CheckResult(
         name="second_moment_bound", observed=float(means[-1]), reference=upper,
         tolerance=rel_tol * upper, standard_error=float(ses[-1]), k=k,
         passed=passed, notes=notes)
+    return _fail_if_truncated(summary, [res])[0]

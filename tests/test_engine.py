@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -8,6 +9,7 @@ from linsys.engine import (CorruptStateError, EngineError, init_state,
                            observables, run_ensemble, replica_seed,
                            pack_site, unpack_site)
 from linsys.kernel import Kernel, kernel_moments, make_bcpp_kernel
+from linsys import stats
 
 BCPP3 = make_bcpp_kernel(3, 1.0)
 ORIGIN3 = (0, 0, 0)
@@ -111,11 +113,11 @@ def test_death_atom_extinction_is_absorbing():
 
 def test_first_event_time_exponential():
     # single occupied site: one rate-1 clock; the first waiting time is the
-    # first uniform of the stream through -log(1-u)
+    # first uniform of the state's own stream through -log(1-u)
     waits = []
     for seed in range(10_000):
         st = init_state(BCPP3, [(ORIGIN3, 1.0)], seed=seed)
-        waits.append(-math.log(1.0 - st._buf[0]))
+        waits.append(-math.log(1.0 - st._uniform()))
     waits = np.sort(waits)
     # Kolmogorov-Smirnov against Exp(1) at the 1% level
     n = len(waits)
@@ -197,12 +199,89 @@ def test_identity_kernel_noop_ensemble():
     assert np.allclose(s.survival_fraction, 1.0)
 
 
-def test_threads_do_not_change_results():
-    kwargs = dict(t_grid=[0.5, 1.5], replicas=400, base_seed=99)
+def _assert_threads_do_not_change_results(dual):
+    kwargs = dict(t_grid=[0.5, 1.5], replicas=400, base_seed=99, dual=dual)
     s1 = run_ensemble(BCPP3, [(ORIGIN3, 1.0)], **kwargs, threads=1)
     s2 = run_ensemble(BCPP3, [(ORIGIN3, 1.0)], **kwargs, threads=2)
     assert json.dumps(s1.to_dict(), sort_keys=True) == \
            json.dumps(s2.to_dict(), sort_keys=True)
+    assert s1.diagnostics == s2.diagnostics
+    assert s1.diagnostics["events"] > 0
+
+
+def test_threads_do_not_change_results():
+    _assert_threads_do_not_change_results(dual=False)
+
+
+def test_dual_threads_do_not_change_results():
+    _assert_threads_do_not_change_results(dual=True)
+
+
+def test_diagnostics_count_every_replica_event():
+    # truncated replicas included; the count stays out of to_dict
+    s = run_ensemble(BCPP3, [(ORIGIN3, 1.0)], [1.0, 3.0, 6.0], 40, base_seed=5,
+                     max_occupied=8)
+    assert s.truncated > 0
+    events = 0
+    for r in range(40):
+        st = init_state(BCPP3, [(ORIGIN3, 1.0)], seed=replica_seed(5, r))
+        st.max_occupied = 8
+        for t in (1.0, 2.0, 3.0):
+            st.advance(t)
+        events += st._events
+    assert s.diagnostics == {"events": events}
+    assert "diagnostics" not in s.to_dict()
+
+
+# sha256 of the to_dict JSON and the ReplicaRows arrays of four runs and of
+# two event traces, as the engine produced them before its event loop was
+# rewritten for speed: a change to the streams or to the float order of an
+# event shows here
+def _ensemble_digest(s):
+    h = hashlib.sha256(json.dumps(s.to_dict(), sort_keys=True).encode())
+    for a in (s.rows.values, s.rows.t, s.rows.recorded):
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+_GOLDEN_RUNS = {
+    "forward_battery": (
+        lambda: run_ensemble(BCPP3, [(ORIGIN3, 1.0)], [2.0, 5.0, 10.0], 40,
+                             base_seed=31, battery=stats.default_battery),
+        "41efa1e9a318e632ef73376802e8b04e92ab2e1b2490efe72360ee28832c685b"),
+    "dual": (
+        lambda: run_ensemble(BCPP3, [(ORIGIN3, 1.0)], [1.0, 3.0, 5.0], 200,
+                             base_seed=32, dual=True),
+        "04a0909fd234dbbaaf1b85ca6c810c5b822fca40facd1ff7d983f80f11217f41"),
+    "truncated": (
+        lambda: run_ensemble(BCPP3, [(ORIGIN3, 1.0)], [1.0, 3.0, 6.0], 120,
+                             base_seed=33, max_occupied=8),
+        "5cb7b78002aafbdbae6f13ff7da43d9096d83779c585bf186c9ffe266c3ddbce"),
+    "multiply": (
+        lambda: run_ensemble(Kernel(1, [(1.0, {(0,): 100.0})]), [((0,), 1.0)],
+                             [50.0, 200.0], 4, base_seed=34),
+        "203e541b17f912bee542f3dd5889abb6db2d4e3c3803dfdb00bfb74887e992c0"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN_RUNS))
+def test_ensemble_streams_match_golden(name):
+    run, digest = _GOLDEN_RUNS[name]
+    assert _ensemble_digest(run()) == digest
+
+
+@pytest.mark.parametrize("dual, seed, duration, events, digest", [
+    (False, 17, 6.0, 111,
+     "eb1b5506a61efdea15a3bf91414f73df5bbdc316ecbca6622b4edc65c06815fc"),
+    (True, 27, 3.0, 110,
+     "cd50024a0ddad3444afe52050ca6e3e393d835c0ec6cb71d1795a57b6031449e"),
+], ids=["forward", "dual"])
+def test_event_trace_matches_golden(dual, seed, duration, events, digest):
+    st = init_state(BCPP3, [(ORIGIN3, 1.0)], dual=dual, seed=seed)
+    st._trace = []
+    st.advance(duration)
+    assert st._events == len(st._trace) == events
+    assert hashlib.sha256(repr(st._trace).encode()).hexdigest() == digest
 
 
 def test_seed_changes_results():
@@ -211,11 +290,12 @@ def test_seed_changes_results():
     assert s1.stat("normalized_total")["mean"] != s2.stat("normalized_total")["mean"]
 
 
-def test_rescaling_preserves_normalization():
+def _assert_rescaling_preserves_normalization(dual):
     # deterministic hundredfold multiplication at the origin overflows
-    # doubles after ~150 events; the shared log-scale absorbs it
+    # doubles after ~150 events; the shared log-scale absorbs it (the dual
+    # rule reads the same single site, so its loop rescales the same way)
     mult = Kernel(1, [(1.0, {(0,): 100.0})])
-    st = init_state(mult, [((0,), 1.0)], seed=0)
+    st = init_state(mult, [((0,), 1.0)], dual=dual, seed=0)
     st.advance(200.0)
     assert st.log_scale > 0.0
     assert all(1e-200 <= m <= 1e200 for m in st.masses.values())
@@ -223,6 +303,14 @@ def test_rescaling_preserves_normalization():
     expected_log = st._events * math.log(100.0)
     got_log = math.log(next(iter(st.masses.values()))) + st.log_scale
     assert abs(got_log - expected_log) < 1e-6 * expected_log
+
+
+def test_rescaling_preserves_normalization():
+    _assert_rescaling_preserves_normalization(dual=False)
+
+
+def test_dual_rescaling_preserves_normalization():
+    _assert_rescaling_preserves_normalization(dual=True)
 
 
 def test_resource_cap_truncates():

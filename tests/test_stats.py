@@ -179,3 +179,26 @@ def test_second_moment_subcritical_unbounded():
     assert not res.passed
     assert res.notes["trend"] == "unbounded"
     assert res.notes["growth_factor"] > 1.5
+
+
+@pytest.fixture(scope="module")
+def truncated_ensemble():
+    s = run_ensemble(BCPP3, [(ORIGIN3, 1.0)], [2.0, 6.0], 40, base_seed=5,
+                     max_occupied=8)
+    assert s.truncated > 0
+    return s
+
+
+def test_second_moment_check_fails_on_truncated_ensemble(truncated_ensemble):
+    res = stats.second_moment_boundedness_check(BCPP3, truncated_ensemble)
+    assert not res.passed
+    assert res.notes["truncated"] == truncated_ensemble.truncated
+
+
+def test_covariance_cross_check_flags_truncated_ensemble(truncated_ensemble):
+    res = stats.covariance_limit_check(BCPP3, ORIGIN3, ORIGIN3, 20.0, 500,
+                                       seed=8, rel_tol=0.25,
+                                       summary=truncated_ensemble)
+    ens = res.notes["ensemble"]
+    assert ens["truncated"] == truncated_ensemble.truncated
+    assert ens["agree"] is False
