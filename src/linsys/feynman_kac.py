@@ -352,13 +352,15 @@ def one_point_profile(kernel: Kernel, initial, t, radius):
 
 
 def exp_local_time_moment(kernel: Kernel, t, radius=None, start=None,
-                          kappa2_override=None) -> float:
-    """Exact E_S^start[exp(kappa_2/2 * local time at 0 up to 2t)].
+                          kappa2_override=None, f=None) -> float:
+    """Exact E_S^start[exp(kappa_2/2 * local time at 0 up to 2t) f(S_2t)].
 
     Deterministic Schrodinger-semigroup value: evolves
-    v' = (L_S + kappa_2/2 delta_0) v from v = 1 on a truncated box.
-    The brute-force reference the Monte Carlo estimators are tested
-    against; equals P[|etabar_t|^2] for a single initial particle.
+    v' = (L_S + kappa_2/2 delta_0) v from v = f on a truncated box; f
+    maps an (M, d) array of sites to M values, as for the estimators, and
+    defaults to 1.  The brute-force reference the Monte Carlo estimators
+    are tested against: for a single initial particle, f = 1 gives
+    P[|etabar_t|^2] and f = f_delta0 the overlap sum_x P[etabar_{t,x}^2].
     """
     mom = kernel_moments(kernel)
     beta = 0.5 * (mom.kappa2 if kappa2_override is None else kappa2_override)
@@ -375,7 +377,9 @@ def exp_local_time_moment(kernel: Kernel, t, radius=None, start=None,
     potential = np.zeros(len(sites))
     potential[index[tuple([0] * d)]] = beta
     A = _box_generator(walk, R, potential)
-    v = _integrate(A, np.ones(len(sites)), [T])[0]
+    v0 = (np.ones(len(sites)) if f is None
+          else np.asarray(f(np.asarray(sites)), dtype=float))
+    v = _integrate(A, v0, [T])[0]
     start = tuple(start) if start is not None else tuple([0] * d)
     return float(v[index[start]])
 
@@ -421,14 +425,36 @@ def _initial_pair_offsets(initial, d):
     return wmap
 
 
+_HILL_K = 200   # order statistics the Hill index is taken over
+
+
+def hill_index(sample):
+    """Hill (1975) estimate of the Pareto tail index of a positive sample.
+
+    1 / mean(log(X_(i) / X_(k+1))) over the k = 200 largest order
+    statistics X_(1) >= ... >= X_(k); nan for k values or fewer.  Below 2
+    the variance is infinite and a standard error is no error bar.
+    """
+    x = np.asarray(sample, dtype=float)
+    n, k = len(x), _HILL_K
+    if n <= k:
+        return math.nan
+    top = np.partition(x, n - k - 1)[n - k - 1:]
+    mean_log = float(np.mean(np.log(top[1:] / top[0])))
+    return 1.0 / mean_log if mean_log > 0.0 else math.inf
+
+
 def fk3_estimate(kernel: Kernel, initial, t, f, samples, seed,
                  kappa2_override=None, trim=1e-4) -> EstimateResult:
     """Monte Carlo for sum_{x,xt} P[etabar_{t,x} etabar_{t,xt}] f(x - xt).
 
     Simulates the symmetrized walk to time 2t from every initial pair
     offset, weighting by exp(kappa_2/2 * exact local time at 0).  The
-    weight is heavy tailed near criticality, so a tail-trimmed mean is
-    reported alongside the plain one (acceptance uses the plain mean).
+    weight is heavy tailed near criticality (Pareto index
+    2/(kappa_2 G(0)) in theory), so a tail-trimmed mean is reported
+    alongside the plain one (acceptance uses the plain mean), and the
+    metadata holds the weights' ``hill_index`` over all offsets, before f
+    (nan for a frozen walk, which draws no sample).
     """
     mom = kernel_moments(kernel)
     kappa2 = mom.kappa2 if kappa2_override is None else float(kappa2_override)
@@ -441,21 +467,26 @@ def fk3_estimate(kernel: Kernel, initial, t, f, samples, seed,
         value = sum(W * math.exp(0.5 * kappa2 * horizon * (not any(w0))) *
                     float(f(np.asarray([w0]))[0]) for w0, W in wmap.items())
         return EstimateResult(value=value, standard_error=0.0, samples=0,
-                              trimmed_value=value)
+                              trimmed_value=value,
+                              metadata={"kappa2": kappa2, "horizon": horizon,
+                                        "hill_index": math.nan})
     rng = np.random.Generator(np.random.Philox(
         np.random.SeedSequence([int(seed) & 0xFFFFFFFFFFFFFFFF, 0x1D3])))
     value = 0.0
     var = 0.0
     raw_all = []
     weight_all = []
+    plain_weights = []
     for w0 in sorted(wmap):
         W = wmap[w0]
         pos, loc = simulate_walk(walk, w0, horizon, samples, rng)
-        vals = np.exp(0.5 * kappa2 * loc) * np.asarray(f(pos), dtype=float)
+        weight = np.exp(0.5 * kappa2 * loc)
+        vals = weight * np.asarray(f(pos), dtype=float)
         value += W * vals.mean()
         var += W**2 * vals.var(ddof=1) / samples if samples > 1 else 0.0
         raw_all.append(vals)
         weight_all.append(W)
+        plain_weights.append(weight)
     trimmed = 0.0
     for W, vals in zip(weight_all, raw_all):
         k = max(1, int(len(vals) * (1.0 - trim)))
@@ -463,7 +494,9 @@ def fk3_estimate(kernel: Kernel, initial, t, f, samples, seed,
     return EstimateResult(value=value, standard_error=math.sqrt(var),
                           samples=samples * len(wmap), trimmed_value=trimmed,
                           trim_fraction=trim,
-                          metadata={"kappa2": kappa2, "horizon": horizon})
+                          metadata={"kappa2": kappa2, "horizon": horizon,
+                                    "hill_index": hill_index(
+                                        np.concatenate(plain_weights))})
 
 
 # ---------------------------------------------------------------------------
@@ -517,22 +550,37 @@ class _HFieldCache:
             4.0 * math.pi ** (d / 2.0) * math.sqrt(np.linalg.det(A)))
         self.table = np.maximum(1.0 + self.kappa2 * gbox / denom, 1.0)
         self.denom = denom
+        self._flat = self.table.ravel()
+        self._centre = int(np.ravel_multi_index((R,) * d, self.table.shape))
+        self._far_terms = [(i, j, float(self.A_inv[i, j]))
+                           for i in range(d) for j in range(d)
+                           if self.A_inv[i, j] != 0.0]
 
-    def values(self, pos):
-        """h-tilde at integer positions, shape (B, d) -> (B,)."""
-        pos = np.asarray(pos)
-        inside = np.all(np.abs(pos) <= self.radius, axis=1)
-        out = np.empty(len(pos))
-        if inside.any():
-            idx = pos[inside] + self.radius
-            out[inside] = self.table[tuple(idx.T)]
-        far = ~inside
-        if far.any():
-            x = pos[far].astype(float)
-            r = np.sqrt(np.einsum("bi,ij,bj->b", x, self.A_inv, x))
-            g = self.far_const / r ** (self.d - 2)
-            out[far] = 1.0 + self.kappa2 * g / self.denom
-        return out
+    def lookup(self, xs):
+        """h-tilde at integer points given coordinate-wise.
+
+        ``xs`` holds one int array per coordinate, all of one shape; the
+        result has that shape.  Inside the box the table is read at one
+        flat index; outside, the far field's quadratic form x' A^-1 x is
+        summed term by term in row-major order over the nonzero entries
+        of A^-1, which reproduces ``einsum("bi,ij,bj->b")`` bit for bit.
+        """
+        R, n = self.radius, 2 * self.radius + 1
+        inside = np.abs(xs[0]) <= R
+        flat = xs[0]
+        for x in xs[1:]:
+            inside &= np.abs(x) <= R
+            flat = flat * n + x
+        # outside points read a clipped index; np.where discards it
+        near = self._flat.take(flat + self._centre, mode="clip")
+        r2 = np.zeros(inside.shape)
+        for i, j, a in self._far_terms:
+            r2 += xs[i] * a * xs[j]
+        # inside points (the origin among them) never use the far field;
+        # r = 1 there keeps it finite
+        r = np.sqrt(np.where(inside, 1.0, r2))
+        g = self.far_const / r ** (self.d - 2)
+        return np.where(inside, near, 1.0 + self.kappa2 * g / self.denom)
 
 
 # keyed by everything the field is built from, so equal kernels parsed
@@ -565,12 +613,15 @@ def fk3_limit_estimate(kernel: Kernel, offset, t, samples, seed, f=None,
     field = _h_field(walk)
     beta = 0.5 * (walk.kappa2 if kappa2_override is None else kappa2_override)
     steps = np.asarray(sorted(walk.rates), dtype=np.int64)
-    # the position and its neighbours, looked up in one field.values call
-    here_and_nb = np.vstack([np.zeros((1, kernel.d), dtype=np.int64), steps])
+    K = len(steps)
+    # per coordinate: the offsets of the position itself (0) and of its
+    # neighbours, so that one field.lookup covers them all; and the steps,
+    # then a zero step that finished paths take
+    here_and_nb = [np.concatenate(([0], steps[:, i])) for i in range(kernel.d)]
+    moves = [np.append(steps[:, i], 0) for i in range(kernel.d)]
     q = np.asarray([walk.rates[tuple(z)] for z in steps])
     lam = q.sum()
     T = 2.0 * float(t)
-    d = kernel.d
     start = np.asarray(offset, dtype=np.int64)
     rng = np.random.Generator(np.random.Philox(
         np.random.SeedSequence([int(seed) & 0xFFFFFFFFFFFFFFFF, 0x7117])))
@@ -579,42 +630,44 @@ def fk3_limit_estimate(kernel: Kernel, offset, t, samples, seed, f=None,
     total_sq = 0.0
     w_sum = w_sq = w_max = 0.0   # importance weights alone, for the ESS
     n_done = 0
-    h_start = float(field.values(start[None, :])[0])
+    h_start = float(field.lookup(start[:, None])[0])
     while n_done < samples:
         b = min(batch, samples - n_done)
-        pos = np.tile(start, (b, 1))
+        xs = [np.full(b, c) for c in start]   # one array per coordinate
         tcur = np.zeros(b)
         L = np.zeros(b)
         acc = np.zeros(b)  # integral of (lambda_tilde - lambda) along the path
         alive = np.ones(b, dtype=bool)
         while True:
-            nb = (pos[:, None, :] + here_and_nb).reshape(-1, d)
-            h_all = field.values(nb).reshape(b, len(here_and_nb))
+            h_all = field.lookup([x[:, None] + o for x, o in zip(xs, here_and_nb)])
             h_here, h_nb = h_all[:, 0], h_all[:, 1:]
             qt = q[None, :] * h_nb / h_here[:, None]
             lam_t = qt.sum(axis=1)
             hold = rng.exponential(1.0, b) / lam_t
             dt = np.minimum(hold, T - tcur)
-            at0 = ~pos.any(axis=1)
-            act = alive
-            L += np.where(act & at0, dt, 0.0)
-            acc += np.where(act, (lam_t - lam) * dt, 0.0)
+            at0 = xs[0] == 0
+            for x in xs[1:]:
+                at0 &= x == 0
+            L += np.where(alive & at0, dt, 0.0)
+            acc += np.where(alive, (lam_t - lam) * dt, 0.0)
             tcur = tcur + hold
             alive = tcur < T
             if not alive.any():
                 break
             u = rng.random(b) * lam_t
             idx = np.minimum((np.cumsum(qt, axis=1) < u[:, None]).sum(axis=1),
-                             len(steps) - 1)
-            pos += np.where(alive[:, None], steps[idx], 0)
-        h_end = field.values(pos)
+                             K - 1)
+            idx = np.where(alive, idx, K)
+            for x, m in zip(xs, moves):
+                x += m.take(idx)
+        h_end = field.lookup(xs)
         logw = beta * L + math.log(h_start) - np.log(h_end) + acc
         w = np.exp(logw)
         w_sum += w.sum()
         w_sq += (w**2).sum()
         w_max = max(w_max, float(w.max()))
         if f is not None:
-            w = w * np.asarray(f(pos), dtype=float)
+            w = w * np.asarray(f(np.stack(xs, axis=1)), dtype=float)
         total += w.sum()
         total_sq += (w**2).sum()
         n_done += b

@@ -343,12 +343,15 @@ def simulate_walk(walk: WalkSpec, start, horizon, samples, rng,
     Returns (positions, local_time) where positions is (samples, d) at the
     horizon and local_time[i] is the exact total time path i spent at the
     origin (accumulated from the exponential holding times, no time
-    discretization).
+    discretization).  Paths are advanced one coordinate array at a time.
     """
     d = walk.d
     steps = np.asarray(sorted(walk.rates), dtype=np.int64)
     probs = np.asarray([walk.rates[tuple(z)] for z in steps])
     cum = np.cumsum(probs / probs.sum())
+    cum[-1] = 1.0   # every uniform in [0, 1) picks a step
+    # per coordinate: the steps, then a zero step that finished paths take
+    moves = [np.append(steps[:, i], 0) for i in range(d)]
     rate = walk.total_rate
     start = np.asarray(start, dtype=np.int64)
 
@@ -357,22 +360,26 @@ def simulate_walk(walk: WalkSpec, start, horizon, samples, rng,
     done = 0
     while done < samples:
         b = min(batch, samples - done)
-        pos = np.tile(start, (b, 1))
+        xs = [np.full(b, c) for c in start]   # one array per coordinate
         t = np.zeros(b)
         loc = np.zeros(b)
         alive = np.ones(b, dtype=bool)
         while True:
             hold = rng.exponential(1.0 / rate, b)
-            at0 = ~pos.any(axis=1)
+            at0 = xs[0] == 0
+            for x in xs[1:]:
+                at0 &= x == 0
             dt = np.minimum(hold, horizon - t)
             loc += np.where(alive & at0, dt, 0.0)
             t = t + hold
             alive = t < horizon
             if not alive.any():
                 break
-            jumps = steps[np.searchsorted(cum, rng.random(b))]
-            pos += np.where(alive[:, None], jumps, 0)
-        pos_out[done:done + b] = pos
+            idx = np.where(alive, np.searchsorted(cum, rng.random(b)), len(steps))
+            for x, m in zip(xs, moves):
+                x += m.take(idx)
+        for i, x in enumerate(xs):
+            pos_out[done:done + b, i] = x
         loc_out[done:done + b] = loc
         done += b
     return pos_out, loc_out

@@ -31,3 +31,16 @@ def random_single_offset_kernel(rng, d, max_extra=4, b_max=2.0):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def diagonal_step_kernel():
+    """BCPP-like d=3 kernel branching to ±e1, ±e2, ±e3, ±(1,1,0), ±(1,0,1).
+
+    Its walk's diffusion matrix couples every pair of coordinates, so A^-1
+    has no zero entry, and reversing the coordinate order changes the
+    walk.  The survival criterion holds (value ≈ 0.758).
+    """
+    dirs = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1)]
+    dirs += [tuple(-c for c in z) for z in dirs]
+    return Kernel(3, [(1 / 11, {})]
+                  + [(1 / 11, {(0, 0, 0): 1.0, z: 1.0}) for z in dirs])

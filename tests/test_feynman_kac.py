@@ -7,10 +7,11 @@ from linsys.engine import init_state, unpack_site
 from linsys.kernel import Kernel, kernel_moments, make_bcpp_kernel, validate_kernel
 from linsys import feynman_kac as fk
 from linsys.walk import walk_from_kernel
-from conftest import random_single_offset_kernel
+from conftest import diagonal_step_kernel, random_single_offset_kernel
 
 BCPP1 = make_bcpp_kernel(1, 1.0)
 BCPP3 = make_bcpp_kernel(3, 1.0)
+DIAG3 = diagonal_step_kernel()
 # one atom touching two offsets at once: orthogonality fails
 BAD = Kernel(1, [(0.5, {}), (0.5, {(0,): 1.0, (1,): 1.0, (2,): 1.0})])
 
@@ -378,3 +379,171 @@ def test_relative_motion_law():
 def test_relative_motion_t_zero():
     rep = fk.relative_motion_check(BCPP3, 0.0, 1000, seed=13)
     assert rep.passed  # both laws are the point mass at the origin
+
+
+# -- golden values and the h-field lookup -------------------------------------
+#
+# Computed with the row-array walk state and the mask / fancy-index / einsum
+# h lookup that the coordinate-wise state replaced: RNG calls and float
+# operations kept their order, so the numbers matched bit for bit on the
+# machine that computed them.  They pass through np.exp, np.log and np.sqrt,
+# whose SIMD paths numpy picks from the CPU at run time and which may differ
+# in the last bits elsewhere, so floats are compared at a relative 1e-12:
+# any change of stream or step order moves them by far more.  Integer parts
+# compare exactly, and test_walk.py checks simulate_walk's bytes.
+
+
+def _assert_golden(got, expected):
+    assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+def _limit_golden(res):
+    m = res.metadata
+    return (res.value, res.standard_error, m["ess"], m["max_weight_share"])
+
+
+@pytest.mark.parametrize("offset,expected", [
+    ((0, 0, 0), (8.1871332896252, 0.04227139032182589,
+                 198.93933071984685, 0.005556229212425935)),
+    ((1, 0, 0), (3.4103247637829863, 0.014898223904639468,
+                 199.2395283693618, 0.005597325613471361)),
+    ((5, 0, 0), (1.4102818372749888, 0.0051184462082544254,
+                 199.47448899132056, 0.005620377913124895)),
+])
+def test_limit_estimate_golden_t2500(offset, expected):
+    res = fk.fk3_limit_estimate(BCPP3, offset, 2500.0, 200, seed=41)
+    _assert_golden(_limit_golden(res), expected)
+
+
+def test_limit_estimate_golden_delta0_inside_box():
+    res = fk.fk3_limit_estimate(BCPP3, (0, 0, 0), 20.0, 2000, seed=42,
+                                f=fk.f_delta0)
+    _assert_golden(_limit_golden(res), (0.058499906737690364,
+                                        0.005247741151545426,
+                                        1815.7104839217186,
+                                        0.0007758717559716471))
+
+
+def test_limit_estimate_golden_diagonal_steps_batched():
+    res = fk.fk3_limit_estimate(DIAG3, (1, 0, 0), 2500.0, 300, seed=43,
+                                batch=120)
+    _assert_golden(_limit_golden(res), (1.864622943207329,
+                                        0.0029070939349461673,
+                                        299.7813940329295,
+                                        0.0036142235273005476))
+    res = fk.fk3_limit_estimate(DIAG3, (0, 0, 0), 20.0, 1500, seed=44,
+                                f=fk.f_delta0, batch=1000)
+    _assert_golden(_limit_golden(res), (0.01600005127206118,
+                                        0.0032397634588172573,
+                                        1470.9599945781217,
+                                        0.0007748400366440947))
+
+
+def test_plain_estimate_golden():
+    res = fk.fk3_estimate(BCPP3, [((0, 0, 0), 1.0), ((1, 0, 0), 2.0)], 3.0,
+                          fk.f_delta0, 20_000, seed=45)
+    _assert_golden((res.value, res.standard_error, res.trimmed_value), (
+        1.9303431230711015, 0.07328221359978641, 1.9127219974204326))
+    # the Hill index of the plain weight exp(kappa_2 L / 2), before f
+    _assert_golden(res.metadata["hill_index"], 7.297854543055083)
+
+
+def test_relative_motion_golden():
+    rep = fk.relative_motion_check(BCPP3, 2.0, 20_000, seed=48)
+    assert (rep.dof, rep.cells) == (195, 196)
+    _assert_golden((rep.p_value, rep.statistic),
+                   (0.9220401666913337, 167.6935073951351))
+
+
+def _values_reference(field, pos):
+    """The row-array lookup the coordinate-wise one replaced."""
+    pos = np.asarray(pos)
+    inside = np.all(np.abs(pos) <= field.radius, axis=1)
+    out = np.empty(len(pos))
+    if inside.any():
+        idx = pos[inside] + field.radius
+        out[inside] = field.table[tuple(idx.T)]
+    far = ~inside
+    if far.any():
+        x = pos[far].astype(float)
+        r = np.sqrt(np.einsum("bi,ij,bj->b", x, field.A_inv, x))
+        g = field.far_const / r ** (field.d - 2)
+        out[far] = 1.0 + field.kappa2 * g / field.denom
+    return out
+
+
+@pytest.mark.parametrize("kernel", [BCPP3, DIAG3], ids=["bcpp3", "diagonal"])
+def test_h_lookup_matches_row_reference(kernel):
+    R = 8
+    field = fk._h_field(walk_from_kernel(kernel), radius=R)
+    gen = np.random.default_rng(2718)
+    inside = gen.integers(-R, R + 1, size=(3000, 3))
+    face = gen.integers(-R, R + 1, size=(3000, 3))
+    axis = gen.integers(0, 3, size=3000)
+    face[np.arange(3000), axis] = R * gen.choice([-1, 1], size=3000)
+    far = gen.integers(-40 * R, 40 * R + 1, size=(3000, 3))
+    far[np.arange(3000), axis] = gen.choice([-1, 1], size=3000) * gen.integers(
+        R + 1, 40 * R, size=3000)
+    assert (np.abs(far).max(axis=1) > R).all()
+    for pos in (inside, face, far, np.concatenate([inside, face, far])):
+        got = field.lookup(pos.T)
+        assert np.array_equal(got, _values_reference(field, pos))
+    # coordinate arrays of any shape, as the walk passes (paths, neighbours)
+    grid = np.stack([inside.T, far.T], axis=2)
+    assert np.array_equal(field.lookup(grid), np.stack(
+        [field.lookup(inside.T), field.lookup(far.T)], axis=1))
+    with np.errstate(all="raise"):
+        h0 = field.lookup(np.zeros((3, 1), dtype=np.int64))
+    assert h0[0] == field.table[R, R, R]
+
+
+# -- exact overlap reference and tail health --------------------------------
+
+
+def test_exact_overlap_matches_reference_table():
+    for t, ref in [(5.0, 0.22474), (10.0, 0.12414), (20.0, 0.06217)]:
+        D = fk.exp_local_time_moment(BCPP3, t, f=fk.f_delta0)
+        assert abs(D / ref - 1.0) < 1e-4
+
+
+def test_exact_moment_default_end_point_is_one():
+    # the value before the end-point argument existed, and f_one equal to it
+    default = fk.exp_local_time_moment(BCPP3, 2.0)
+    _assert_golden(default, 2.247116912640171)
+    assert fk.exp_local_time_moment(BCPP3, 2.0, f=fk.f_one) == default
+
+
+def test_tilted_overlap_matches_exact():
+    for t in [5.0, 10.0, 20.0, 40.0]:
+        exact = fk.exp_local_time_moment(BCPP3, t, f=fk.f_delta0)
+        res = fk.fk3_limit_estimate(BCPP3, (0, 0, 0), t, 20_000, seed=13,
+                                    f=fk.f_delta0)
+        assert abs(res.value - exact) <= 3 * res.standard_error
+
+
+def test_plain_overlap_matches_exact_t5():
+    exact = fk.exp_local_time_moment(BCPP3, 5.0, f=fk.f_delta0)
+    res = fk.fk3_estimate(BCPP3, [((0, 0, 0), 1.0)], 5.0, fk.f_delta0,
+                          20_000, seed=14)
+    assert abs(res.value - exact) <= 3 * res.standard_error
+
+
+def test_hill_index_on_pareto_sample():
+    gen = np.random.default_rng(1975)
+    for alpha in (1.13, 2.5):
+        x = gen.pareto(alpha, 100_000) + 1.0   # P[X > x] = x^-alpha, x >= 1
+        # on an exact Pareto sample the Hill estimate has SE alpha/sqrt(k)
+        assert abs(fk.hill_index(x) - alpha) <= 3 * alpha / math.sqrt(200)
+    assert math.isnan(fk.hill_index(np.ones(200)))
+    assert fk.hill_index(np.ones(201)) == math.inf
+
+
+def test_frozen_walk_estimate_has_same_metadata_keys():
+    # pure death: no mass moves, so no walk is drawn and no index exists;
+    # the pair sits at 0 for the whole horizon 2t, weight exp(kappa_2 t)
+    death = Kernel(1, [(1.0, {})])
+    res = fk.fk3_estimate(death, [((0,), 1.0)], 0.5, fk.f_one, 100, seed=15)
+    assert res.metadata["kappa2"] == 1.0
+    assert abs(res.value - math.exp(0.5)) < 1e-12
+    assert set(res.metadata) == {"kappa2", "horizon", "hill_index"}
+    assert math.isnan(res.metadata["hill_index"])

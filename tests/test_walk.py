@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -11,6 +12,8 @@ from linsys.walk import (DegenerateWalkError, DivergentHError,
                          bcpp_critical_lambda, green, green_box, h_of_x,
                          return_probability, simple_walk, simulate_walk,
                          survival_criterion, walk_from_kernel)
+
+from conftest import diagonal_step_kernel
 
 PI3 = 0.34053732955  # simple-walk return probability in d = 3
 
@@ -258,3 +261,20 @@ def test_monte_carlo_green_consistency():
     g0 = green(w).g0
     assert mean <= g0 + 3 * se
     assert mean >= g0 - 0.06 - 3 * se
+
+
+# sha256 of the positions and local times, computed with the row-array walk
+# state that the coordinate-wise one replaced (same RNG calls and order)
+@pytest.mark.parametrize("kernel,start,horizon,samples,seed,batch,digest", [
+    (make_bcpp_kernel(3, 1.0), (0, 0, 0), 30.0, 5000, 46, 200_000,
+     "b0042e5842ee60d70155067e58bf8f3f5f10a3f5168dd5e181f9cf78fedda414"),
+    (diagonal_step_kernel(), (2, -1, 0), 12.0, 3000, 47, 1100,
+     "cdcb14dd9b380bbb0bc612fb0d42489e920319295176de9c570630d24d8a4552"),
+], ids=["bcpp3", "diagonal-batched"])
+def test_simulate_walk_golden(kernel, start, horizon, samples, seed, batch,
+                              digest):
+    rng = np.random.Generator(np.random.Philox(seed))
+    pos, loc = simulate_walk(walk_from_kernel(kernel), start, horizon,
+                             samples, rng, batch=batch)
+    assert pos.shape == (samples, 3) and pos.dtype == np.int64
+    assert hashlib.sha256(pos.tobytes() + loc.tobytes()).hexdigest() == digest
