@@ -13,11 +13,16 @@ or, for the dual process, by the transposed map
 
 Clocks at sites where the update cannot change anything are no-ops
 (every replacement term carries a factor of the local mass), so the
-simulation rings only "active" sites: occupied sites for the forward
-process, and occupied sites plus the halo that an update could pull mass
-from for the dual.  This restriction is distributionally exact and is
-what makes the simulation feasible: the total event rate equals the
-active-site count.
+simulation rings only occupied sites.  For the forward process an event
+at z changes something only if z is occupied, so the total event rate is
+the occupied-site count n.  A dual event (z, a) with atom a of
+probability p_a changes something only if z + u is occupied for some u in
+R_a = {0} u supp(a); its proposals are drawn by thinning (Lewis and
+Shedler 1979): an occupied site y, then a pair (u, a) with weight p_a/Q,
+Q = sum_a p_a |R_a|, at total rate n Q, and z = y - u.  The proposal is
+accepted only if no read of a before u in R_a (0 first, the rest sorted)
+is occupied at z, so each such (z, a) has exactly one accepting (y, u)
+and fires at rate p_a.  Both restrictions are distributionally exact.
 
 Masses are doubles scaled by a shared log-scale factor (the total mass
 grows like exp(kappa_1 t)); normalized quantities are computed as
@@ -30,7 +35,7 @@ import math
 from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -116,10 +121,19 @@ class _KernelTables:
         self.atom_cum = cum
         self.atoms_fwd = fwd
         self.atoms_dual = dualrd
-        # the dual reads these offsets: an empty site within them of mass
-        # can still be written to
-        reads = sorted({u for _, vec in kernel.atoms for u in vec} | {zero})
-        self.read_deltas = tuple(_pack_delta(u) for u in reads)
+        # dual proposals: per (u, a) with u in R_a, (packed u, atom index,
+        # packed reads of R_a before u) and cumulative weights p_a / Q
+        pairs, weights = [], []
+        for ai, (p, vec) in enumerate(kernel.atoms):
+            reads = [zero] + sorted(u for u in vec if u != zero)
+            for k, u in enumerate(reads):
+                pairs.append((_pack_delta(u), ai,
+                              tuple(_pack_delta(v) for v in reads[:k])))
+                weights.append(p)
+        self.dual_rate = math.fsum(weights)  # Q, per occupied site
+        self.pair_cum = [c / self.dual_rate for c in accumulate(weights)]
+        self.pair_cum[-1] = 1.0 + 1e-15
+        self.dual_pairs = pairs
 
 
 def _uniform_chunks(rng):
@@ -158,16 +172,9 @@ class ProcessState:
             key = pack_site(_check_coords(x, self.d))
             self.masses[key] = self.masses.get(key, 0.0) + m
 
-        # active-site bookkeeping: list + position map with O(1) uniform
-        # pick and swap-remove; for the dual, reference counts over the
-        # read offsets decide which empty sites can still be written to
-        self._halo_count = {}
-        if self.dual:
-            for key in self.masses:
-                for du in tables.read_deltas:
-                    z = key - du
-                    self._halo_count[z] = self._halo_count.get(z, 0) + 1
-        self._active = list(self._halo_count if self.dual else self.masses)
+        # the occupied sites as a list + position map, for O(1) uniform
+        # pick and swap-remove
+        self._active = list(self.masses)
         self._active_pos = {key: i for i, key in enumerate(self._active)}
 
         if isinstance(seed, np.random.SeedSequence):
@@ -207,8 +214,10 @@ class ProcessState:
         """Run the events of the next ``duration`` time units.
 
         The loop state lives in locals and is written back on exit; the
-        active-set updates are inlined.  Each event draws three uniforms
-        in stream order: waiting time, site, atom."""
+        active-set updates are inlined.  Each forward event, and each dual
+        proposal, accepted or not, draws three uniforms in stream order:
+        waiting time, occupied site, then the atom (forward) or the pair
+        (u, a) (dual)."""
         if duration < 0:
             raise EngineError("duration must be nonnegative")
         target = self.t + duration
@@ -221,7 +230,6 @@ class ProcessState:
         pos = self._active_pos
         u = self._uniform
         tables = self._tables
-        cum = tables.atom_cum
         log = math.log
         trace = self._trace
         cap = self.max_occupied
@@ -231,20 +239,29 @@ class ProcessState:
         try:
             if self.dual:
                 atoms = tables.atoms_dual
-                reads = tables.read_deltas
-                cnt = self._halo_count
+                pairs = tables.dual_pairs
+                pcum = tables.pair_cum
+                rate = tables.dual_rate
                 while True:
                     if n == 0:
                         self.extinct = True
                         t = target
                         break
-                    dt = -log(1.0 - u()) / n
+                    dt = -log(1.0 - u()) / (n * rate)
                     if t + dt >= target:
                         t = target
                         break
                     t += dt
-                    z = active[int(u() * n)]
-                    ai = bisect_right(cum, u())
+                    y = active[int(u() * n)]
+                    off, ai, before = pairs[bisect_right(pcum, u())]
+                    z = y - off
+                    blocked = False
+                    for dv in before:  # (z, a) fires from its first occupied read
+                        if z + dv in masses:
+                            blocked = True
+                            break
+                    if blocked:
+                        continue
                     new = 0.0
                     for du, val in atoms[ai]:
                         m = get(z + du)
@@ -253,34 +270,20 @@ class ProcessState:
                     old = get(z)
                     if trace is not None:
                         trace.append((z, ai, old if old is not None else 0.0))
-                    if old is None:
-                        if new > 0.0:
-                            masses[z] = new
-                            for du in reads:  # z turns on: its halo grows
-                                w = z - du
-                                c = cnt.get(w, 0)
-                                cnt[w] = c + 1
-                                if c == 0:
-                                    pos[w] = n
-                                    active.append(w)
-                                    n += 1
-                    elif new > 0.0:
+                    if new > 0.0:
                         masses[z] = new
-                    else:
+                        if old is None:
+                            pos[z] = n
+                            active.append(z)
+                            n += 1
+                    elif old is not None:
                         del masses[z]
-                        for du in reads:  # z turns off: its halo shrinks
-                            w = z - du
-                            c = cnt[w] - 1
-                            if c:
-                                cnt[w] = c
-                            else:
-                                del cnt[w]
-                                n -= 1
-                                p = pos.pop(w)
-                                last = active.pop()
-                                if last != w:
-                                    active[p] = last
-                                    pos[last] = p
+                        n -= 1
+                        p = pos.pop(z)
+                        last = active.pop()
+                        if last != z:
+                            active[p] = last
+                            pos[last] = p
                     events += 1
                     if new >= 1e250:  # rescale before doubles can overflow
                         self.t = t
@@ -288,11 +291,12 @@ class ProcessState:
                     if not events % _AUDIT_EVERY:
                         self.t = t
                         self._audit()
-                    if len(masses) > cap:
+                    if n > cap:
                         self.truncated = True
                         break
             else:
                 atoms = tables.atoms_fwd
+                cum = tables.atom_cum
                 while True:
                     if n == 0:
                         self.extinct = True
@@ -338,7 +342,7 @@ class ProcessState:
                     if not events % _AUDIT_EVERY:
                         self.t = t
                         self._audit()
-                    if n > cap:  # every occupied site is active
+                    if n > cap:
                         self.truncated = True
                         break
         finally:

@@ -9,7 +9,7 @@ from linsys.engine import (CorruptStateError, EngineError, init_state,
                            observables, run_ensemble, replica_seed,
                            pack_site, unpack_site)
 from linsys.kernel import Kernel, kernel_moments, make_bcpp_kernel
-from linsys import stats
+from linsys import feynman_kac as fk, stats
 
 BCPP3 = make_bcpp_kernel(3, 1.0)
 ORIGIN3 = (0, 0, 0)
@@ -167,26 +167,109 @@ def test_dual_martingale_small_ensemble():
         assert abs(m - 1.0) <= 3.5 * se
 
 
-def test_dual_halo_active_set():
-    # dual events can fire at empty sites within kernel range of mass
-    st = init_state(make_bcpp_kernel(1, 1.0), [((0,), 1.0)], dual=True, seed=0)
-    active = {unpack_site(k, 1) for k in st._active}
-    assert active == {(-1,), (0,), (1,)}
-    # a no-op event at an empty halo site must not create mass
-    assert all(m > 0 for m in st.masses.values())
+# d=1 kernel with a death atom, an atom that does not read its own site and
+# atoms that read several offsets
+MULTI1 = Kernel(1, [(0.25, {}), (0.25, {(0,): 0.5, (1,): 1.0, (-2,): 0.7}),
+                    (0.25, {(2,): 1.5}), (0.25, {(0,): 1.0, (1,): 0.4, (-1,): 0.4})])
+
+
+def test_dual_active_list_is_occupied_set():
+    # dual proposals come from the occupied sites: the active list holds
+    # each of them once, and _active_pos indexes it
+    for kernel, initial in [(make_bcpp_kernel(1, 1.0), [((0,), 1.0)]),
+                            (MULTI1, [((0,), 1.0), ((3,), 2.0)]),
+                            (BCPP3, [(ORIGIN3, 1.0)])]:
+        for seed in range(5):
+            st = init_state(kernel, initial, dual=True, seed=seed)
+            for duration in (0.5, 1.0, 2.0):
+                st.advance(duration)
+                assert sorted(st._active) == sorted(st.masses)
+                assert st._active_pos == {k: i for i, k in enumerate(st._active)}
 
 
 def test_dual_pull_update():
-    # branch-only kernel, dual rule: eta_z <- sum_u xi_u eta_{z+u}
+    # dual rule eta_z <- sum_u xi_u eta_{z+u}: replaying the recorded events
+    # with it on a dict gives the engine's final masses exactly
     branch = Kernel(1, [(1.0, {(0,): 1.0, (1,): 1.0})])
-    st = init_state(branch, [((0,), 1.0)], dual=True, seed=5)
-    st._trace = []
-    st.advance(0.5)
-    for z, ai, old in st._trace:
-        pass  # events recorded; final state must be consistent:
-    coords, vals = st.site_array()
-    # mass can only appear at sites that can read occupied ones
-    assert all(v >= 1.0 for v in vals)
+    for kernel, seed, duration in [(branch, 5, 2.0), (MULTI1, 6, 3.0)]:
+        st = init_state(kernel, [((0,), 1.0)], dual=True, seed=seed)
+        st._trace = []
+        st.advance(duration)
+        assert len(st._trace) > 5
+        eta = {0: 1.0}
+        for key, ai, old in st._trace:
+            (z,) = unpack_site(key, 1)
+            assert eta.get(z, 0.0) == old
+            new = 0.0
+            for (u,), val in sorted(kernel.atoms[ai][1].items()):
+                new += val * eta.get(z + u, 0.0)
+            if new > 0.0:
+                eta[z] = new
+            else:
+                eta.pop(z, None)
+        assert {unpack_site(k, 1)[0]: m for k, m in st.masses.items()} == eta
+
+
+def test_dual_first_event_rate_and_outcomes():
+    # from one BCPP3 site the events that can change anything are death and
+    # the six branches at the site (rate 1 together) and, at each neighbour
+    # -e, the branch to offset e, which reads the site (rate 1/7 each):
+    # total rate Q = 13/7.  A cap of -1 truncates at the first event, so
+    # the clock stops there.
+    n = 10_000
+    waits, counts = [], {}
+    origin = pack_site(ORIGIN3)
+    for seed in range(n):
+        st = init_state(BCPP3, [(ORIGIN3, 1.0)], dual=True, seed=seed)
+        st.max_occupied = -1
+        st._trace = []
+        st.advance(1e9)
+        assert st.truncated and st._events == 1
+        waits.append(st.t)
+        z, ai, _ = st._trace[0]
+        if z != origin:
+            outcome = unpack_site(z, 3)
+            assert st.masses == {origin: 1.0, z: 1.0}
+        elif BCPP3.atoms[ai][1]:
+            outcome = "unchanged"
+            assert st.masses == {origin: 1.0}
+        else:
+            outcome = "death"
+            assert not st.masses
+        counts[outcome] = counts.get(outcome, 0) + 1
+    waits = np.sort(waits)
+    cdf = 1.0 - np.exp(-13 / 7 * waits)
+    assert np.max(np.abs(cdf - np.arange(1, n + 1) / n)) < 1.63 / math.sqrt(n)
+    # chi-square against death 1/13, unchanged 6/13, each neighbour 1/13,
+    # 7 degrees of freedom at the 1% level
+    assert len(counts) == 8 and counts.keys() >= {"death", "unchanged"}
+    expected = {k: n * (6 if k == "unchanged" else 1) / 13 for k in counts}
+    chi2 = sum((counts[k] - e) ** 2 / e for k, e in expected.items())
+    assert chi2 < 18.48
+
+
+def test_dual_mean_matches_reflected_one_point_profile():
+    # the dual mean solves m' = sum_u E[K_u] m(. + u) - m, which is the
+    # forward mean of the kernel reflected through u -> -u
+    t, n = 1.0, 20_000
+    reflected = Kernel(1, [(p, {(-u,): v for (u,), v in vec.items()})
+                           for p, vec in MULTI1.atoms])
+    exact = fk.one_point_profile(reflected, [((0,), 1.0)], t, radius=12)
+    sites = range(-2, 4)
+    tot = np.zeros(len(sites))
+    sq = np.zeros(len(sites))
+    for r in range(n):
+        st = init_state(MULTI1, [((0,), 1.0)], dual=True,
+                        seed=replica_seed(41, r))
+        st.advance(t)
+        scale = math.exp(st.log_scale)
+        m = np.array([st.masses.get(pack_site((x,)), 0.0) * scale for x in sites])
+        tot += m
+        sq += m * m
+    mean = tot / n
+    se = np.sqrt((sq / n - mean**2) / (n - 1))
+    for i, x in enumerate(sites):
+        assert abs(mean[i] - exact[(x,)]) <= 4 * se[i], (x, mean[i], exact[(x,)])
 
 
 def test_identity_kernel_noop_ensemble():
@@ -234,9 +317,10 @@ def test_diagnostics_count_every_replica_event():
 
 
 # sha256 of the to_dict JSON and the ReplicaRows arrays of four runs and of
-# two event traces, as the engine produced them before its event loop was
-# rewritten for speed: a change to the streams or to the float order of an
-# event shows here
+# two event traces: a change to the streams or to the float order of an
+# event shows here.  The forward digests date from before the event loop
+# was rewritten for speed; the dual ones from the loop that proposes dual
+# events from occupied sites
 def _ensemble_digest(s):
     h = hashlib.sha256(json.dumps(s.to_dict(), sort_keys=True).encode())
     for a in (s.rows.values, s.rows.t, s.rows.recorded):
@@ -252,7 +336,7 @@ _GOLDEN_RUNS = {
     "dual": (
         lambda: run_ensemble(BCPP3, [(ORIGIN3, 1.0)], [1.0, 3.0, 5.0], 200,
                              base_seed=32, dual=True),
-        "04a0909fd234dbbaaf1b85ca6c810c5b822fca40facd1ff7d983f80f11217f41"),
+        "57bf2b746de8f29be5e832006f232ea73204d0d49909af81765b17a5a8859cc4"),
     "truncated": (
         lambda: run_ensemble(BCPP3, [(ORIGIN3, 1.0)], [1.0, 3.0, 6.0], 120,
                              base_seed=33, max_occupied=8),
@@ -273,8 +357,8 @@ def test_ensemble_streams_match_golden(name):
 @pytest.mark.parametrize("dual, seed, duration, events, digest", [
     (False, 17, 6.0, 111,
      "eb1b5506a61efdea15a3bf91414f73df5bbdc316ecbca6622b4edc65c06815fc"),
-    (True, 27, 3.0, 110,
-     "cd50024a0ddad3444afe52050ca6e3e393d835c0ec6cb71d1795a57b6031449e"),
+    (True, 27, 3.0, 21,
+     "f6050f8fbcc8944ad0b0554725910bbce62d79ee3ee6187b84a474e3d571f7d6"),
 ], ids=["forward", "dual"])
 def test_event_trace_matches_golden(dual, seed, duration, events, digest):
     st = init_state(BCPP3, [(ORIGIN3, 1.0)], dual=dual, seed=seed)
