@@ -4,7 +4,9 @@ JSON in, JSON/CSV out.  Subcommands map one-to-one onto the verification
 surface (`simulate`, `green`, `criterion`, `oracle-two-point`, `fk3`,
 `verify-martingale`, `verify-clt`, `verify-cov`, `verify-overlap`,
 `validate-kernel`).  Every artifact embeds the fully resolved config and
-a format-version string.  Exit codes: 0 success, 1 check failure,
+a format-version string; with an output directory, `simulate` and
+`verify-martingale` also write `diagnostics.json` beside their artifacts.
+Exit codes: 0 success, 1 check failure,
 2 configuration error, 3 numerical error.
 """
 
@@ -17,6 +19,7 @@ import os
 import sys
 
 import numpy as np
+import scipy
 
 from . import engine, feynman_kac as fk, stats, walk as walk_mod
 from .kernel import Kernel, KernelError, make_bcpp_kernel, validate_kernel
@@ -195,6 +198,17 @@ def _out_path(cfg, name):
     return None
 
 
+def _emit_diagnostics(cfg, summary):
+    """diagnostics.json beside the artifacts: what the ensemble pass did and
+    the library versions its streams depend on; no wall time, so its bytes
+    are as deterministic as the payload's."""
+    path = _out_path(cfg, "diagnostics.json")
+    if path:
+        _emit({"events": summary.diagnostics["events"],
+               "truncated": summary.truncated,
+               "numpy": np.__version__, "scipy": scipy.__version__}, path)
+
+
 def _named_f(name):
     if name == "one":
         return fk.f_one
@@ -250,6 +264,7 @@ def _cmd_simulate(cfg):
     out = summary.to_dict()
     out["config"] = cfg.resolved()
     _emit(out, _out_path(cfg, "summary.json"))
+    _emit_diagnostics(cfg, summary)
     csv_path = _out_path(cfg, "trajectories.csv")
     if csv_path:
         d = cfg.kernel.d
@@ -311,6 +326,7 @@ def _cmd_verify_martingale(cfg):
                                   cfg.replicas, cfg.seed, dual=cfg.dual,
                                   threads=cfg.threads,
                                   max_occupied=cfg.max_occupied)
+    _emit_diagnostics(cfg, summary)
     return _report(cfg, "verify_martingale", stats.martingale_check(summary))
 
 

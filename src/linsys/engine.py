@@ -17,12 +17,23 @@ simulation rings only occupied sites.  For the forward process an event
 at z changes something only if z is occupied, so the total event rate is
 the occupied-site count n.  A dual event (z, a) with atom a of
 probability p_a changes something only if z + u is occupied for some u in
-R_a = {0} u supp(a); its proposals are drawn by thinning (Lewis and
-Shedler 1979): an occupied site y, then a pair (u, a) with weight p_a/Q,
-Q = sum_a p_a |R_a|, at total rate n Q, and z = y - u.  The proposal is
-accepted only if no read of a before u in R_a (0 first, the rest sorted)
-is occupied at z, so each such (z, a) has exactly one accepting (y, u)
-and fires at rate p_a.  Both restrictions are distributionally exact.
+its read set R_a, where supp(a) = {u : xi_u > 0} and
+
+    R_a = supp(a) - {0}          if xi_0 == 1,
+    R_a = {0} u supp(a)          otherwise.
+
+With xi_0 == 1 the new value minus the old one is
+sum_{u != 0} xi_u eta_{z+u}, so (z, a) changes eta_z exactly when one of
+those reads is occupied; otherwise a nonempty new or old value at z needs
+an occupied read in {0} u supp(a).  The proposals are drawn by thinning
+(Lewis and Shedler 1979): an occupied site y, then a pair (u, a) with
+weight p_a/Q, Q = sum_a p_a |R_a|, at total rate n Q, and z = y - u.  The
+proposal is accepted only if no read of a before u in R_a (0 first if it
+is there, the rest sorted) is occupied at z, so each such (z, a) has
+exactly one accepting (y, u) and fires at rate p_a.  For BCPP every read
+set holds one offset, so every proposal is accepted; a kernel of identity
+atoms has Q = 0 and its dual clock runs with no event.  Both restrictions
+are distributionally exact.
 
 Masses are doubles scaled by a shared log-scale factor (the total mass
 grows like exp(kappa_1 t)); normalized quantities are computed as
@@ -125,14 +136,17 @@ class _KernelTables:
         # packed reads of R_a before u) and cumulative weights p_a / Q
         pairs, weights = [], []
         for ai, (p, vec) in enumerate(kernel.atoms):
-            reads = [zero] + sorted(u for u in vec if u != zero)
+            reads = sorted(u for u in vec if u != zero)
+            if vec.get(zero) != 1.0:
+                reads.insert(0, zero)
             for k, u in enumerate(reads):
                 pairs.append((_pack_delta(u), ai,
                               tuple(_pack_delta(v) for v in reads[:k])))
                 weights.append(p)
-        self.dual_rate = math.fsum(weights)  # Q, per occupied site
+        self.dual_rate = math.fsum(weights)  # Q, per occupied site; 0 if no reads
         self.pair_cum = [c / self.dual_rate for c in accumulate(weights)]
-        self.pair_cum[-1] = 1.0 + 1e-15
+        if pairs:
+            self.pair_cum[-1] = 1.0 + 1e-15
         self.dual_pairs = pairs
 
 
@@ -221,7 +235,8 @@ class ProcessState:
         if duration < 0:
             raise EngineError("duration must be nonnegative")
         target = self.t + duration
-        if self.extinct or self.truncated:
+        idle = self.dual and not self._tables.dual_rate  # no reads: Q = 0
+        if self.extinct or self.truncated or idle:
             self.t = target
             return self
         masses = self.masses
@@ -352,11 +367,6 @@ class ProcessState:
 
     # -- observables -------------------------------------------------------
 
-    def normalized_total(self):
-        if not self.masses:
-            return 0.0
-        return self.total_mass() * math.exp(self.log_scale - self.kappa1 * self.t)
-
     def site_array(self):
         """(coords, masses) as numpy arrays, in packed-key order."""
         n = len(self.masses)
@@ -419,7 +429,7 @@ def observables(state: ProcessState, test_functions=None) -> ObservableRecord:
             battery[name] = float(rho @ f(xhat, scale))
     return ObservableRecord(
         t=state.t,
-        normalized_total=state.normalized_total(),
+        normalized_total=total * math.exp(state.log_scale - state.kappa1 * state.t),
         rho_star=float(rho.max()),
         overlap=float(rho @ rho),
         occupied=len(vals),

@@ -1,7 +1,9 @@
 import json
 import os
 
+import numpy
 import pytest
+import scipy
 
 from linsys import cli, engine
 from linsys.cli import ConfigError, main, parse_config
@@ -107,8 +109,33 @@ def test_cli_simulate_thread_independence(tmp_path):
                    "--output-dir", str(d)])
         assert rc == 0
         blobs.append(((d / "summary.json").read_bytes(),
-                      (d / "trajectories.csv").read_bytes()))
+                      (d / "trajectories.csv").read_bytes(),
+                      (d / "diagnostics.json").read_bytes()))
     assert blobs[0] == blobs[1]
+
+
+@pytest.mark.parametrize("command, artifact", [
+    ("simulate", "summary.json"),
+    ("verify-martingale", "verify_martingale.json"),
+])
+def test_cli_dual_diagnostics_beside_artifacts(tmp_path, command, artifact):
+    # diagnostics.json holds counts and library versions, no wall time, so
+    # its bytes are as deterministic as the artifact beside it
+    cfg = {"bcpp": {"d": 3, "lambda": 1.0}, "t_grid": [1.0, 2.0],
+           "replicas": 150, "seed": 8, "dual": True, "max_occupied": 12}
+    blobs = []
+    for threads, sub in ((1, "t1"), (2, "t2"), (1, "rerun")):
+        d = tmp_path / sub
+        main([command, json.dumps(cfg), "--threads", str(threads),
+              "--output-dir", str(d)])
+        blobs.append(((d / artifact).read_bytes(),
+                      (d / "diagnostics.json").read_bytes()))
+    assert blobs[0] == blobs[1] == blobs[2]
+    diag = json.loads(blobs[0][1])
+    assert diag == {"events": diag["events"], "truncated": diag["truncated"],
+                    "numpy": numpy.__version__, "scipy": scipy.__version__}
+    assert diag["events"] > 0 and diag["truncated"] > 0
+    assert "diagnostics" not in json.loads(blobs[0][0])
 
 
 def _reference_csv_rows(cfg):

@@ -187,35 +187,46 @@ def test_dual_active_list_is_occupied_set():
                 assert st._active_pos == {k: i for i, k in enumerate(st._active)}
 
 
+def _replay_dual(kernel, d, st):
+    """Replays st's trace with the dual rule eta_z <- sum_u xi_u eta_{z+u}
+    on a dict, checking each recorded old value; returns the final
+    configuration and the (atom, old, new) of every event."""
+    eta = {(0,) * d: 1.0}
+    steps = []
+    for key, ai, old in st._trace:
+        z = unpack_site(key, d)
+        assert eta.get(z, 0.0) == old
+        new = 0.0
+        for u, val in sorted(kernel.atoms[ai][1].items()):
+            new += val * eta.get(tuple(a + b for a, b in zip(z, u)), 0.0)
+        if new > 0.0:
+            eta[z] = new
+        else:
+            eta.pop(z, None)
+        steps.append((ai, old, new))
+    return eta, steps
+
+
 def test_dual_pull_update():
-    # dual rule eta_z <- sum_u xi_u eta_{z+u}: replaying the recorded events
-    # with it on a dict gives the engine's final masses exactly
+    # replaying the recorded events with the dual rule on a dict gives the
+    # engine's final masses exactly
     branch = Kernel(1, [(1.0, {(0,): 1.0, (1,): 1.0})])
-    for kernel, seed, duration in [(branch, 5, 2.0), (MULTI1, 6, 3.0)]:
+    for kernel, seed, duration in [(branch, 5, 4.0), (MULTI1, 6, 3.0)]:
         st = init_state(kernel, [((0,), 1.0)], dual=True, seed=seed)
         st._trace = []
         st.advance(duration)
         assert len(st._trace) > 5
-        eta = {0: 1.0}
-        for key, ai, old in st._trace:
-            (z,) = unpack_site(key, 1)
-            assert eta.get(z, 0.0) == old
-            new = 0.0
-            for (u,), val in sorted(kernel.atoms[ai][1].items()):
-                new += val * eta.get(z + u, 0.0)
-            if new > 0.0:
-                eta[z] = new
-            else:
-                eta.pop(z, None)
-        assert {unpack_site(k, 1)[0]: m for k, m in st.masses.items()} == eta
+        eta, _ = _replay_dual(kernel, 1, st)
+        assert {unpack_site(k, 1): m for k, m in st.masses.items()} == eta
 
 
 def test_dual_first_event_rate_and_outcomes():
-    # from one BCPP3 site the events that can change anything are death and
-    # the six branches at the site (rate 1 together) and, at each neighbour
-    # -e, the branch to offset e, which reads the site (rate 1/7 each):
-    # total rate Q = 13/7.  A cap of -1 truncates at the first event, so
-    # the clock stops there.
+    # from one BCPP3 site the events that can change anything are death at
+    # the site and, at each neighbour -e, the branch to offset e, which reads
+    # the site (rate 1/7 each); the branches at the site itself have
+    # xi_0 = 1 and read only their empty neighbour, so they are never
+    # proposed: total rate Q = 1.  A cap of -1 truncates at the first event,
+    # so the clock stops there.
     n = 10_000
     waits, counts = [], {}
     origin = pack_site(ORIGIN3)
@@ -230,22 +241,38 @@ def test_dual_first_event_rate_and_outcomes():
         if z != origin:
             outcome = unpack_site(z, 3)
             assert st.masses == {origin: 1.0, z: 1.0}
-        elif BCPP3.atoms[ai][1]:
-            outcome = "unchanged"
-            assert st.masses == {origin: 1.0}
         else:
             outcome = "death"
-            assert not st.masses
+            assert not BCPP3.atoms[ai][1] and not st.masses
         counts[outcome] = counts.get(outcome, 0) + 1
     waits = np.sort(waits)
-    cdf = 1.0 - np.exp(-13 / 7 * waits)
+    cdf = 1.0 - np.exp(-waits)
     assert np.max(np.abs(cdf - np.arange(1, n + 1) / n)) < 1.63 / math.sqrt(n)
-    # chi-square against death 1/13, unchanged 6/13, each neighbour 1/13,
-    # 7 degrees of freedom at the 1% level
-    assert len(counts) == 8 and counts.keys() >= {"death", "unchanged"}
-    expected = {k: n * (6 if k == "unchanged" else 1) / 13 for k in counts}
-    chi2 = sum((counts[k] - e) ** 2 / e for k, e in expected.items())
-    assert chi2 < 18.48
+    # chi-square against death 1/7 and each neighbour 1/7, 6 degrees of
+    # freedom at the 1% level; no outcome leaves the configuration unchanged
+    assert len(counts) == 7 and "death" in counts
+    chi2 = sum((c - n / 7) ** 2 / (n / 7) for c in counts.values())
+    assert chi2 < 16.81
+
+
+def test_dual_accepted_events_all_change_the_configuration():
+    # an atom with xi_0 = 1 never fires with new == old, since its read set
+    # leaves out the site's own read.  Every BCPP3 atom writes; MULTI1's
+    # atom {2: 1.5} does not read its own site and can repeat its last
+    # value, so only its xi_0 = 1 atom is counted there
+    for kernel, d, seeds in [(BCPP3, 3, range(5)), (MULTI1, 1, range(10))]:
+        unit = {ai for ai, (_, vec) in enumerate(kernel.atoms)
+                if vec.get((0,) * d) == 1.0}
+        counted = unchanged = 0
+        for seed in seeds:
+            st = init_state(kernel, [((0,) * d, 1.0)], dual=True, seed=seed)
+            st._trace = []
+            st.advance(6.0)
+            for ai, old, new in _replay_dual(kernel, d, st)[1]:
+                if kernel is BCPP3 or ai in unit:
+                    counted += 1
+                    unchanged += new == old
+        assert counted > 50 and unchanged == 0
 
 
 def test_dual_mean_matches_reflected_one_point_profile():
@@ -280,6 +307,22 @@ def test_identity_kernel_noop_ensemble():
     assert np.allclose(st["mean"], 4.0) and np.allclose(st["var"], 0.0)
     assert np.allclose(s.stat("occupied", "all")["mean"], 2.0)
     assert np.allclose(s.survival_fraction, 1.0)
+
+
+def test_dual_identity_kernel_noop_ensemble():
+    # no atom can change anything (Q = 0): the dual clock runs out with no
+    # event, and the replicas stay alive
+    ident = Kernel(2, [(1.0, {(0, 0): 1.0})])
+    init = [((0, 0), 1.0), ((2, 1), 3.0)]
+    s = run_ensemble(ident, init, [0.5, 2.0], 200, base_seed=4, dual=True)
+    st = s.stat("normalized_total", "all")
+    assert np.allclose(st["mean"], 4.0) and np.allclose(st["var"], 0.0)
+    assert np.allclose(s.stat("occupied", "all")["mean"], 2.0)
+    assert np.allclose(s.survival_fraction, 1.0)
+    assert s.diagnostics == {"events": 0}
+    state = init_state(ident, init, dual=True, seed=4)
+    state.advance(2.0)
+    assert state.t == 2.0 and not state.extinct and state._events == 0
 
 
 def _assert_threads_do_not_change_results(dual):
@@ -317,10 +360,10 @@ def test_diagnostics_count_every_replica_event():
 
 
 # sha256 of the to_dict JSON and the ReplicaRows arrays of four runs and of
-# two event traces: a change to the streams or to the float order of an
+# three event traces: a change to the streams or to the float order of an
 # event shows here.  The forward digests date from before the event loop
-# was rewritten for speed; the dual ones from the loop that proposes dual
-# events from occupied sites
+# was rewritten for speed; the dual ones from the read sets that leave out
+# the site's own read for atoms with xi_0 = 1
 def _ensemble_digest(s):
     h = hashlib.sha256(json.dumps(s.to_dict(), sort_keys=True).encode())
     for a in (s.rows.values, s.rows.t, s.rows.recorded):
@@ -336,7 +379,7 @@ _GOLDEN_RUNS = {
     "dual": (
         lambda: run_ensemble(BCPP3, [(ORIGIN3, 1.0)], [1.0, 3.0, 5.0], 200,
                              base_seed=32, dual=True),
-        "57bf2b746de8f29be5e832006f232ea73204d0d49909af81765b17a5a8859cc4"),
+        "ee22e4e7d8faf999f0330be31bed18b5d9c190ac1985052f7979eac4b35d3bca"),
     "truncated": (
         lambda: run_ensemble(BCPP3, [(ORIGIN3, 1.0)], [1.0, 3.0, 6.0], 120,
                              base_seed=33, max_occupied=8),
@@ -357,9 +400,13 @@ def test_ensemble_streams_match_golden(name):
 @pytest.mark.parametrize("dual, seed, duration, events, digest", [
     (False, 17, 6.0, 111,
      "eb1b5506a61efdea15a3bf91414f73df5bbdc316ecbca6622b4edc65c06815fc"),
-    (True, 27, 3.0, 21,
-     "f6050f8fbcc8944ad0b0554725910bbce62d79ee3ee6187b84a474e3d571f7d6"),
-], ids=["forward", "dual"])
+    # seed 27's first dual wait exceeds 3.0, so its trace is empty; the
+    # longer run pins the events themselves
+    (True, 27, 3.0, 0,
+     "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    (True, 27, 6.0, 51,
+     "e5e90dee4c254a723f02327314f5c55a966e1814954b826f7cc8ac82b90a2d02"),
+], ids=["forward", "dual", "dual_long"])
 def test_event_trace_matches_golden(dual, seed, duration, events, digest):
     st = init_state(BCPP3, [(ORIGIN3, 1.0)], dual=dual, seed=seed)
     st._trace = []
