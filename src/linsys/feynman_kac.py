@@ -18,11 +18,17 @@ checked against each other:
 
   1. ``oracle_two_point``: solve u' = Gamma u exactly on a truncated pair
      box (brute-force oracle; d = 1, and d = 2 up to R of about 8),
-  2. ``pair_chain_estimate``: Monte Carlo over the transposed (dual) pair
+  2. ``pair_chain_histogram``: Monte Carlo over the transposed (dual) pair
      chain, weighted by exp(kappa_2 * local time on the pair diagonal),
+     gives every pair value at once,
   3. ``fk3_estimate``: Monte Carlo over the symmetrized one-particle walk
      run to time 2t, weighted by exp(kappa_2/2 * local time at 0); this
-     is the only route that scales to d = 3.
+     is the only route that scales to d = 3, and ``fk3_limit_estimate``
+     runs it h-tilted to reach large t.
+
+The Monte Carlo routes all run ``walk.jump_chain``, one batched loop
+with exact holding times; each supplies only its rates, its special set
+(the origin or the pair diagonal) and its step pick.
 
 Every deterministic solve (the oracle, the one-point profile and the
 exponential local-time moment) builds its lattice generator with one box
@@ -46,7 +52,8 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .kernel import Kernel, kernel_moments, _l1_ball
-from .walk import WalkSpec, walk_from_kernel, simulate_walk, DegenerateWalkError
+from .walk import (WalkSpec, walk_from_kernel, simulate_walk, jump_chain,
+                   at_origin, pick_table, DegenerateWalkError)
 
 
 class FeynmanKacError(RuntimeError):
@@ -177,10 +184,6 @@ class GammaTable:
                 if rate < -tol:
                     bad.append((w, jump, rate))
         return bad
-
-
-def gamma_rates(kernel: Kernel) -> GammaTable:
-    return GammaTable(kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -615,10 +618,8 @@ def fk3_limit_estimate(kernel: Kernel, offset, t, samples, seed, f=None,
     steps = np.asarray(sorted(walk.rates), dtype=np.int64)
     K = len(steps)
     # per coordinate: the offsets of the position itself (0) and of its
-    # neighbours, so that one field.lookup covers them all; and the steps,
-    # then a zero step that finished paths take
+    # neighbours, so that one field.lookup covers them all
     here_and_nb = [np.concatenate(([0], steps[:, i])) for i in range(kernel.d)]
-    moves = [np.append(steps[:, i], 0) for i in range(kernel.d)]
     q = np.asarray([walk.rates[tuple(z)] for z in steps])
     lam = q.sum()
     T = 2.0 * float(t)
@@ -626,40 +627,25 @@ def fk3_limit_estimate(kernel: Kernel, offset, t, samples, seed, f=None,
     rng = np.random.Generator(np.random.Philox(
         np.random.SeedSequence([int(seed) & 0xFFFFFFFFFFFFFFFF, 0x7117])))
 
+    def rates(xs, e):
+        # the tilted rates q(z) h(x+z)/h(x); the Girsanov integrand is
+        # their excess over the walk's total rate
+        h_all = field.lookup([x[:, None] + o for x, o in zip(xs, here_and_nb)])
+        h_here, h_nb = h_all[:, 0], h_all[:, 1:]
+        qt = q[None, :] * h_nb / h_here[:, None]
+        lam_t = qt.sum(axis=1)
+
+        def pick(u):
+            u = u * lam_t
+            return np.minimum((np.cumsum(qt, axis=1) < u[:, None]).sum(axis=1),
+                              K - 1)
+        return at_origin(xs), e / lam_t, lam_t - lam, pick
+
     total = 0.0
     total_sq = 0.0
     w_sum = w_sq = w_max = 0.0   # importance weights alone, for the ESS
-    n_done = 0
     h_start = float(field.lookup(start[:, None])[0])
-    while n_done < samples:
-        b = min(batch, samples - n_done)
-        xs = [np.full(b, c) for c in start]   # one array per coordinate
-        tcur = np.zeros(b)
-        L = np.zeros(b)
-        acc = np.zeros(b)  # integral of (lambda_tilde - lambda) along the path
-        alive = np.ones(b, dtype=bool)
-        while True:
-            h_all = field.lookup([x[:, None] + o for x, o in zip(xs, here_and_nb)])
-            h_here, h_nb = h_all[:, 0], h_all[:, 1:]
-            qt = q[None, :] * h_nb / h_here[:, None]
-            lam_t = qt.sum(axis=1)
-            hold = rng.exponential(1.0, b) / lam_t
-            dt = np.minimum(hold, T - tcur)
-            at0 = xs[0] == 0
-            for x in xs[1:]:
-                at0 &= x == 0
-            L += np.where(alive & at0, dt, 0.0)
-            acc += np.where(alive, (lam_t - lam) * dt, 0.0)
-            tcur = tcur + hold
-            alive = tcur < T
-            if not alive.any():
-                break
-            u = rng.random(b) * lam_t
-            idx = np.minimum((np.cumsum(qt, axis=1) < u[:, None]).sum(axis=1),
-                             K - 1)
-            idx = np.where(alive, idx, K)
-            for x, m in zip(xs, moves):
-                x += m.take(idx)
+    for xs, L, acc in jump_chain(start, steps, T, samples, rng, rates, batch):
         h_end = field.lookup(xs)
         logw = beta * L + math.log(h_start) - np.log(h_end) + acc
         w = np.exp(logw)
@@ -670,7 +656,6 @@ def fk3_limit_estimate(kernel: Kernel, offset, t, samples, seed, f=None,
             w = w * np.asarray(f(np.stack(xs, axis=1)), dtype=float)
         total += w.sum()
         total_sq += (w**2).sum()
-        n_done += b
     mean = total / samples
     var = max(total_sq / samples - mean**2, 0.0)
     return EstimateResult(value=float(mean),
@@ -687,7 +672,8 @@ def fk3_limit_estimate(kernel: Kernel, offset, t, samples, seed, f=None,
 
 
 class _PairChainTables:
-    """Vectorized jump tables for the dual pair chain (Y, Yt)."""
+    """Jump tables of the dual pair chain (Y, Yt), one row per joint jump
+    (dy, dyt): the diagonal rows first, then the off-diagonal ones."""
 
     def __init__(self, kernel):
         table = GammaTable(kernel)
@@ -695,23 +681,16 @@ class _PairChainTables:
             raise UnsupportedKernelError(
                 "kernel yields negative off-diagonal pair rates; "
                 "use the ODE oracle instead")
-        self.kappa2 = table.kappa2
-        self.d = kernel.d
-        zero = table.zero
         # off-diagonal rates are offset independent; any w != 0 does
         far = (3 * kernel.r_K + 1,) + (0,) * (kernel.d - 1)
-        self.off = self._compile(table.y_jump_rates(far))
-        self.diag = self._compile(table.y_jump_rates(zero))
-
-    @staticmethod
-    def _compile(entries):
-        if not entries:
-            return None
-        jumps = np.asarray([list(dy) + list(dyt) for (dy, dyt), _ in entries],
-                           dtype=np.int64)
-        rates = np.asarray([r for _, r in entries])
-        total = rates.sum()
-        return {"jumps": jumps, "cum": np.cumsum(rates / total), "rate": total}
+        diag = table.y_jump_rates(table.zero)
+        off = table.y_jump_rates(far)
+        self.jumps = np.asarray([dy + dyt for (dy, dyt), _ in diag + off],
+                                dtype=np.int64).reshape(-1, 2 * kernel.d)
+        self.n_diag = len(diag)
+        rates = [np.asarray([r for _, r in g], dtype=float) for g in (diag, off)]
+        self.rate_diag, self.rate_off = (r.sum() for r in rates)
+        self.diag_cum, self.off_cum = (pick_table(r) for r in rates)
 
 
 def pair_chain_samples(kernel: Kernel, start_pair, t, samples, rng,
@@ -723,94 +702,40 @@ def pair_chain_samples(kernel: Kernel, start_pair, t, samples, rng,
     copies of the one-particle walk) and pick up the joint-move terms on
     the diagonal.
     """
-    tables = _PairChainTables(kernel)
+    tab = _PairChainTables(kernel)
     d = kernel.d
     y0 = np.asarray(start_pair[0], dtype=np.int64)
     yt0 = np.asarray(start_pair[1], dtype=np.int64)
     T = float(t)
 
-    rate_off = tables.off["rate"] if tables.off else 0.0
-    rate_diag = tables.diag["rate"] if tables.diag else 0.0
-    if rate_off == 0.0 and rate_diag == 0.0:
-        Y = np.tile(y0, (samples, 1))
-        Yt = np.tile(yt0, (samples, 1))
-        loc = np.full(samples, T if np.array_equal(y0, yt0) else 0.0)
-        return Y, Yt, loc
+    def rates(xs, e):
+        diag = xs[0] == xs[d]
+        for i in range(1, d):
+            diag &= xs[i] == xs[d + i]
+        rate = np.where(diag, tab.rate_diag, tab.rate_off)
+        hold = np.where(rate > 0, e / np.maximum(rate, 1e-300), np.inf)
 
-    Y_out = np.empty((samples, d), dtype=np.int64)
-    Yt_out = np.empty((samples, d), dtype=np.int64)
-    loc_out = np.empty(samples)
-    done = 0
-    while done < samples:
-        b = min(batch, samples - done)
-        Y = np.tile(y0, (b, 1))
-        Yt = np.tile(yt0, (b, 1))
-        tcur = np.zeros(b)
-        loc = np.zeros(b)
-        alive = np.ones(b, dtype=bool)
-        while True:
-            diag = ~(Y - Yt).any(axis=1)
-            rate = np.where(diag, rate_diag, rate_off)
-            safe = np.maximum(rate, 1e-300)
-            hold = rng.exponential(1.0, b) / safe
-            hold = np.where(rate > 0, hold, np.inf)
-            dt = np.minimum(hold, T - tcur)
-            loc += np.where(alive & diag, dt, 0.0)
-            tcur = tcur + hold
-            alive = tcur < T
-            if not alive.any():
-                break
-            u = rng.random(b)
-            move = np.zeros((b, 2 * d), dtype=np.int64)
-            if tables.diag is not None:
-                idx = np.searchsorted(tables.diag["cum"], u)
-                idx = np.minimum(idx, len(tables.diag["jumps"]) - 1)
-                move = np.where(diag[:, None], tables.diag["jumps"][idx], move)
-            if tables.off is not None:
-                idx = np.searchsorted(tables.off["cum"], u)
-                idx = np.minimum(idx, len(tables.off["jumps"]) - 1)
-                move = np.where(diag[:, None], move, tables.off["jumps"][idx])
-            live = alive[:, None]
-            Y += np.where(live, move[:, :d], 0)
-            Yt += np.where(live, move[:, d:], 0)
-        Y_out[done:done + b] = Y
-        Yt_out[done:done + b] = Yt
-        loc_out[done:done + b] = loc
-        done += b
-    return Y_out, Yt_out, loc_out
+        # a path whose group has no jumps (all of them, for a kernel that
+        # moves no mass) never steps: its hold is inf
+        def pick(u):
+            return np.where(diag, np.searchsorted(tab.diag_cum, u),
+                            tab.n_diag + np.searchsorted(tab.off_cum, u))
+        return diag, hold, None, pick
 
-
-def pair_chain_estimate(kernel: Kernel, initial, t, g, samples, seed) -> EstimateResult:
-    """Monte Carlo for sum_{x,xt} P[etabar_{t,x} etabar_{t,xt}] g(x, xt).
-
-    Runs the dual pair chain from every ordered pair of initial sites,
-    weighting by exp(kappa_2 * diagonal local time); requires nonnegative
-    off-diagonal pair rates.
-    """
-    rng = np.random.Generator(np.random.Philox(
-        np.random.SeedSequence([int(seed) & 0xFFFFFFFFFFFFFFFF, 0x9A1])))
-    kappa2 = kernel_moments(kernel).kappa2
-    value = 0.0
-    var = 0.0
-    total_samples = 0
-    for x, mx in initial:
-        for xt, mxt in initial:
-            W = float(mx) * float(mxt)
-            Y, Yt, loc = pair_chain_samples(kernel, (x, xt), t, samples, rng)
-            vals = np.exp(kappa2 * loc) * np.asarray(g(Y, Yt), dtype=float)
-            value += W * vals.mean()
-            var += W**2 * vals.var(ddof=1) / samples if samples > 1 else 0.0
-            total_samples += samples
-    return EstimateResult(value=value, standard_error=math.sqrt(var),
-                          samples=total_samples)
+    out = list(jump_chain(np.concatenate([y0, yt0]), tab.jumps, T, samples,
+                          rng, rates, batch))
+    return (np.concatenate([np.stack(xs[:d], axis=1) for xs, _, _ in out]),
+            np.concatenate([np.stack(xs[d:], axis=1) for xs, _, _ in out]),
+            np.concatenate([loc for _, loc, _ in out]))
 
 
 def pair_chain_histogram(kernel: Kernel, initial, t, samples, seed):
     """Weighted endpoint histogram: (x, xt) -> P[etabar_{t,x} etabar_{t,xt}].
 
-    One chain run gives every pair value at once (the bulk interface the
-    estimator and the cross-validation tests share); also returns the
-    per-pair standard errors.
+    Runs the dual pair chain from every ordered pair of initial sites,
+    weighted by exp(kappa_2 * diagonal local time), and gives every pair
+    value at once, with per-pair standard errors; requires nonnegative
+    off-diagonal pair rates.
     """
     rng = np.random.Generator(np.random.Philox(
         np.random.SeedSequence([int(seed) & 0xFFFFFFFFFFFFFFFF, 0x9A1])))
@@ -874,16 +799,8 @@ def relative_motion_check(kernel: Kernel, t, samples, seed,
     pos, _ = simulate_walk(walk, zero, walk_time_factor * float(t), samples, rng)
 
     def counts(arr):
-        out = {}
-        keys = np.asarray(arr)
-        order = np.lexsort(keys.T[::-1])
-        keys = keys[order]
-        cuts = np.nonzero(np.any(np.diff(keys, axis=0) != 0, axis=1))[0] + 1
-        start = 0
-        for end in list(cuts) + [len(keys)]:
-            out[tuple(keys[start])] = end - start
-            start = end
-        return out
+        cells, n = np.unique(arr, axis=0, return_counts=True)
+        return dict(zip(map(tuple, cells.tolist()), n.tolist()))
 
     c1, c2 = counts(rel), counts(pos)
     cells = sorted(set(c1) | set(c2))

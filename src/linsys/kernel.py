@@ -278,7 +278,7 @@ def validate_kernel(kernel: Kernel, tol=MOMENT_TOL) -> ValidationReport:
 
     from . import feynman_kac  # deferred: feynman_kac imports this module
 
-    table = feynman_kac.gamma_rates(kernel)
+    table = feynman_kac.GammaTable(kernel)
     k4 = True
     for x in _l1_ball(d, 2 * kernel.r_K):
         if x == zero:

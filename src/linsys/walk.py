@@ -333,7 +333,68 @@ def h_of_x(kernel: Kernel, offsets, resolution=None):
 
 
 # ---------------------------------------------------------------------------
-# Direct simulation of the walk (shared by the Feynman-Kac estimators)
+# Batched jump chain with exact holding times (Gillespie 1977): the one loop
+# behind the plain walk, the h-tilted walk and the dual pair chain
+
+
+def at_origin(xs):
+    """Mask of the points, given one int array per coordinate, at 0."""
+    at0 = xs[0] == 0
+    for x in xs[1:]:
+        at0 &= x == 0
+    return at0
+
+
+def pick_table(rates):
+    """Normalized cumulative rates, ending at exactly 1.0, so that
+    ``np.searchsorted`` maps every uniform in [0, 1) to a step index."""
+    rates = np.asarray(rates, dtype=float)
+    cum = np.cumsum(rates / rates.sum())
+    cum[-1:] = 1.0   # no-op for an empty table
+    return cum
+
+
+def jump_chain(start, steps, horizon, samples, rng, rates, batch):
+    """Run `samples` paths of a continuous-time jump chain up to `horizon`.
+
+    Paths start at the integer point `start`, are held as one int64 array
+    per coordinate and move by the rows of `steps`.  Once per iteration
+    ``rates(xs, e)`` maps a batch's coordinate arrays and its unit
+    exponentials e to (special, hold, drift, pick): the mask of the paths
+    on the chain's special set, the holding times, an integrand to sum
+    along each path up to the horizon (or None), and a function from
+    uniforms to step indices.  Each batch draws one exponential per path
+    and iteration, then one uniform while some path is alive; finished
+    paths take a zero step.  Yields per batch the coordinate arrays at
+    the horizon, the exact time spent on the special set and the
+    integrals of the drift.
+    """
+    steps = np.asarray(steps, dtype=np.int64)
+    moves = [np.append(col, 0) for col in steps.T]
+    stop = len(steps)
+    done = 0
+    while done < samples:
+        b = min(batch, samples - done)
+        xs = [np.full(b, c) for c in start]
+        t = np.zeros(b)
+        loc = np.zeros(b)
+        acc = np.zeros(b)
+        alive = np.ones(b, dtype=bool)
+        while True:
+            special, hold, drift, pick = rates(xs, rng.exponential(1.0, b))
+            dt = np.minimum(hold, horizon - t)
+            loc += np.where(alive & special, dt, 0.0)
+            if drift is not None:
+                acc += np.where(alive, drift * dt, 0.0)
+            t = t + hold
+            alive = t < horizon
+            if not alive.any():
+                break
+            idx = np.where(alive, pick(rng.random(b)), stop)
+            for x, m in zip(xs, moves):
+                x += m.take(idx)
+        yield xs, loc, acc
+        done += b
 
 
 def simulate_walk(walk: WalkSpec, start, horizon, samples, rng,
@@ -343,43 +404,20 @@ def simulate_walk(walk: WalkSpec, start, horizon, samples, rng,
     Returns (positions, local_time) where positions is (samples, d) at the
     horizon and local_time[i] is the exact total time path i spent at the
     origin (accumulated from the exponential holding times, no time
-    discretization).  Paths are advanced one coordinate array at a time.
+    discretization).
     """
-    d = walk.d
-    steps = np.asarray(sorted(walk.rates), dtype=np.int64)
-    probs = np.asarray([walk.rates[tuple(z)] for z in steps])
-    cum = np.cumsum(probs / probs.sum())
-    cum[-1] = 1.0   # every uniform in [0, 1) picks a step
-    # per coordinate: the steps, then a zero step that finished paths take
-    moves = [np.append(steps[:, i], 0) for i in range(d)]
-    rate = walk.total_rate
-    start = np.asarray(start, dtype=np.int64)
+    steps = sorted(walk.rates)
+    cum = pick_table([walk.rates[z] for z in steps])
+    scale = 1.0 / walk.total_rate
 
-    pos_out = np.empty((samples, d), dtype=np.int64)
-    loc_out = np.empty(samples)
-    done = 0
-    while done < samples:
-        b = min(batch, samples - done)
-        xs = [np.full(b, c) for c in start]   # one array per coordinate
-        t = np.zeros(b)
-        loc = np.zeros(b)
-        alive = np.ones(b, dtype=bool)
-        while True:
-            hold = rng.exponential(1.0 / rate, b)
-            at0 = xs[0] == 0
-            for x in xs[1:]:
-                at0 &= x == 0
-            dt = np.minimum(hold, horizon - t)
-            loc += np.where(alive & at0, dt, 0.0)
-            t = t + hold
-            alive = t < horizon
-            if not alive.any():
-                break
-            idx = np.where(alive, np.searchsorted(cum, rng.random(b)), len(steps))
-            for x, m in zip(xs, moves):
-                x += m.take(idx)
-        for i, x in enumerate(xs):
-            pos_out[done:done + b, i] = x
-        loc_out[done:done + b] = loc
-        done += b
-    return pos_out, loc_out
+    def pick(u):
+        return np.searchsorted(cum, u)
+
+    def rates(xs, e):
+        # exponential(1.0) * scale is exponential(scale), bit for bit
+        return at_origin(xs), e * scale, None, pick
+
+    out = list(jump_chain(np.asarray(start, dtype=np.int64), steps, horizon,
+                          samples, rng, rates, batch))
+    return (np.concatenate([np.stack(xs, axis=1) for xs, _, _ in out]),
+            np.concatenate([loc for _, loc, _ in out]))

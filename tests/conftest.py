@@ -1,7 +1,46 @@
+import glob
+import hashlib
+import os
+import pickle
+
 import numpy as np
 import pytest
 
+import linsys
 from linsys.kernel import Kernel
+
+# Heavy fixtures and walk estimates are memoized on disk (exact reruns are
+# byte-identical by the determinism contract, so a cache hit changes
+# nothing); delete the directory or set LINSYS_TEST_CACHE=off for a cold
+# run.  The key covers the package source and the numpy version, so a
+# pickle built by other code is never replayed.
+_CACHE_DIR = os.environ.get("LINSYS_TEST_CACHE", "/tmp/linsys_test_cache")
+
+
+def _code_fingerprint():
+    src = os.path.join(os.path.dirname(linsys.__file__), "*.py")
+    digest = hashlib.sha256()
+    for path in sorted(glob.glob(src)):
+        with open(path, "rb") as fh:
+            digest.update(fh.read())
+    return digest.hexdigest(), np.__version__
+
+
+def _cached(key_obj, builder):
+    """builder(), or its pickle from an earlier run with the same key_obj,
+    package source and numpy version."""
+    if _CACHE_DIR == "off":
+        return builder()
+    key = hashlib.sha256(repr((key_obj, _code_fingerprint())).encode()).hexdigest()[:24]
+    os.makedirs(_CACHE_DIR, exist_ok=True)
+    path = os.path.join(_CACHE_DIR, key + ".pkl")
+    if os.path.exists(path):
+        with open(path, "rb") as fh:
+            return pickle.load(fh)
+    obj = builder()
+    with open(path, "wb") as fh:
+        pickle.dump(obj, fh)
+    return obj
 
 
 def random_single_offset_kernel(rng, d, max_extra=4, b_max=2.0):

@@ -6,17 +6,12 @@ ensemble, the limit estimates) are shared across criteria and sized for
 a small workstation.
 """
 
-import glob
-import hashlib
 import json
 import math
-import os
-import pickle
 
 import numpy as np
 import pytest
 
-import linsys
 from linsys.engine import init_state, run_ensemble, unpack_site, replica_seed
 from linsys.kernel import kernel_moments, make_bcpp_kernel, validate_kernel
 from linsys.walk import (bcpp_critical_lambda, green, h_of_x,
@@ -24,44 +19,12 @@ from linsys.walk import (bcpp_critical_lambda, green, h_of_x,
                          walk_from_kernel)
 from linsys import feynman_kac as fk
 from linsys import stats
+from conftest import _cached
 
 BCPP3 = make_bcpp_kernel(3, 1.0)
 BCPP1 = make_bcpp_kernel(1, 1.0)
 ORIGIN3 = (0, 0, 0)
 PI3 = 0.3405
-
-# Heavy fixtures and criterion 9's walk estimates are memoized on disk
-# (exact reruns are byte-identical by the determinism contract, so a cache
-# hit changes nothing); delete the directory or set LINSYS_TEST_CACHE=off
-# for a cold run.  The key covers
-# the package source and the numpy version, so a pickle built by other
-# code is never replayed.
-_CACHE_DIR = os.environ.get("LINSYS_TEST_CACHE", "/tmp/linsys_test_cache")
-
-
-def _code_fingerprint():
-    src = os.path.join(os.path.dirname(linsys.__file__), "*.py")
-    digest = hashlib.sha256()
-    for path in sorted(glob.glob(src)):
-        with open(path, "rb") as fh:
-            digest.update(fh.read())
-    return digest.hexdigest(), np.__version__
-
-
-def _cached(key_obj, builder):
-    if _CACHE_DIR == "off":
-        return builder()
-    key = hashlib.sha256(repr((key_obj, _code_fingerprint())).encode()).hexdigest()[:24]
-    os.makedirs(_CACHE_DIR, exist_ok=True)
-    path = os.path.join(_CACHE_DIR, key + ".pkl")
-    if os.path.exists(path):
-        with open(path, "rb") as fh:
-            return pickle.load(fh)
-    obj = builder()
-    with open(path, "wb") as fh:
-        pickle.dump(obj, fh)
-    return obj
-
 
 def _report(num, name, passed, detail=""):
     line = f"[criterion {num:2d}] {'PASS' if passed else 'FAIL'}  {name}"

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -248,11 +249,43 @@ def test_fk3_t_zero():
     assert abs(res.value - 2.0) < 1e-12
 
 
+def _pair_chain_estimate(kernel, initial, t, g, samples, seed):
+    """sum_{x,xt} P[etabar_{t,x} etabar_{t,xt}] g(x, xt) and its SE.
+
+    Runs the dual pair chain from every ordered pair of initial sites,
+    weighted by exp(kappa_2 * diagonal local time); the SE adds the
+    per-start-pair sample variances.
+    """
+    rng = np.random.Generator(np.random.Philox(
+        np.random.SeedSequence([seed, 0x9A1])))
+    kappa2 = kernel_moments(kernel).kappa2
+    value = var = 0.0
+    for x, mx in initial:
+        for xt, mxt in initial:
+            W = float(mx) * float(mxt)
+            Y, Yt, loc = fk.pair_chain_samples(kernel, (x, xt), t, samples, rng)
+            vals = np.exp(kappa2 * loc) * np.asarray(g(Y, Yt), dtype=float)
+            value += W * vals.mean()
+            var += W**2 * vals.var(ddof=1) / samples
+    return value, math.sqrt(var)
+
+
 def test_pair_chain_t_zero():
     g = lambda Y, Yt: (Y[:, 0] == 0).astype(float) * (Yt[:, 0] == 2)
-    res = fk.pair_chain_estimate(BCPP1, [((0,), 1.0), ((2,), 3.0)], 0.0, g,
-                                 200, seed=0)
-    assert abs(res.value - 3.0) < 1e-12
+    value, _ = _pair_chain_estimate(BCPP1, [((0,), 1.0), ((2,), 3.0)], 0.0, g,
+                                    200, seed=0)
+    assert abs(value - 3.0) < 1e-12
+
+
+def test_pair_chain_without_jumps_stays_put():
+    # no mass moves: the pair never jumps, and its diagonal local time is
+    # the whole horizon exactly when it starts on the diagonal
+    for kernel in [Kernel(2, [(1.0, {(0, 0): 1.0})]), Kernel(2, [(1.0, {})])]:
+        for yt0, loc0 in [((0, 0), 1.5), ((1, 0), 0.0)]:
+            Y, Yt, loc = fk.pair_chain_samples(
+                kernel, ((0, 0), yt0), 1.5, 5, np.random.default_rng(0), batch=3)
+            assert Y.tolist() == [[0, 0]] * 5 and Yt.tolist() == [list(yt0)] * 5
+            assert loc.tolist() == [loc0] * 5
 
 
 def test_fk3_vs_oracle_contractions():
@@ -289,10 +322,10 @@ def test_pair_chain_matches_fk3_through_offsets():
     t = 1.0
     f_vec = lambda off: (np.abs(off[:, 0]) <= 1).astype(float)
     g = lambda Y, Yt: f_vec(Y - Yt)
-    a = fk.pair_chain_estimate(BCPP1, [((0,), 1.0)], t, g, 120_000, seed=5)
+    a, a_se = _pair_chain_estimate(BCPP1, [((0,), 1.0)], t, g, 120_000, seed=5)
     b = fk.fk3_estimate(BCPP1, [((0,), 1.0)], t, f_vec, 120_000, seed=6)
-    se = math.hypot(a.standard_error, b.standard_error)
-    assert abs(a.value - b.value) <= 3 * se
+    se = math.hypot(a_se, b.standard_error)
+    assert abs(a - b.value) <= 3 * se
 
 
 def test_one_point_t_zero_and_conservation():
@@ -437,6 +470,26 @@ def test_limit_estimate_golden_diagonal_steps_batched():
                                         0.0032397634588172573,
                                         1470.9599945781217,
                                         0.0007748400366440947))
+
+
+# sha256 of the dual pair chain's end points and diagonal local times,
+# computed with the chain's own jump loop before it shared one with the
+# walks; the d=3 case runs three batches
+@pytest.mark.parametrize("kernel,start_pair,t,samples,seed,batch,digest", [
+    (BCPP1, ((0,), (0,)), 2.0, 3000, 51, 200_000,
+     "e7aa1be44e7821f80c20e7774f56ffc621da627be452c2aecfdfd01315f63b12"),
+    (BCPP3, ((0, 0, 0), (1, 0, 0)), 1.5, 2500, 52, 900,
+     "89c1fb4f4b8ceda605fd8e74a1469aac3aa6fe758596df17fd4e587433409ca3"),
+], ids=["bcpp1", "bcpp3-batched"])
+def test_pair_chain_samples_golden(kernel, start_pair, t, samples, seed,
+                                   batch, digest):
+    rng = np.random.Generator(np.random.Philox(seed))
+    Y, Yt, loc = fk.pair_chain_samples(kernel, start_pair, t, samples, rng,
+                                       batch=batch)
+    assert Y.shape == Yt.shape == (samples, kernel.d)
+    assert Y.dtype == Yt.dtype == np.int64
+    got = hashlib.sha256(Y.tobytes() + Yt.tobytes() + loc.tobytes())
+    assert got.hexdigest() == digest
 
 
 def test_plain_estimate_golden():

@@ -9,6 +9,7 @@ from linsys.kernel import Kernel, kernel_moments, make_bcpp_kernel
 from linsys import feynman_kac as fk
 from linsys import stats
 from linsys.walk import h_of_x
+from conftest import _cached
 
 BCPP3 = make_bcpp_kernel(3, 1.0)
 ORIGIN3 = (0, 0, 0)
@@ -107,8 +108,10 @@ def test_clt_centering_with_drift():
     k = Kernel(3, atoms)
     mom = kernel_moments(k)
     assert mom.drift[0] > 0.05
-    s = run_ensemble(k, [(ORIGIN3, 1.0)], [30.0], 3000, base_seed=37,
-                     threads=2, battery=stats.default_battery)
+    key = ("clt_drift", k.to_dict(), stats.battery_table(k), 30.0, 3000, 37)
+    s = _cached(key, lambda: run_ensemble(k, [(ORIGIN3, 1.0)], [30.0], 3000,
+                                          base_seed=37, threads=2,
+                                          battery=stats.default_battery))
     half = s.stat("battery:halfspace0", "surviving")
     assert abs(half["mean"][-1] - 0.5) <= 0.08
     # without centering the whole profile lies right of 0 (m t ~ 5 sites
