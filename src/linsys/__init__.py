@@ -16,7 +16,7 @@ from .walk import (GreenTable, WalkSpec, bcpp_critical_lambda, green,
                    h_of_x, return_probability, survival_criterion,
                    walk_from_kernel)
 from .feynman_kac import (GammaTable, OracleSolution, fk3_estimate,
-                          fk3_limit_estimate, one_point, oracle_two_point,
+                          fk3_limit_estimate, oracle_two_point,
                           relative_motion_check)
 from .stats import (CheckResult, clt_check, covariance_limit_check,
                     default_battery, martingale_check, overlap_decay_check,

@@ -62,11 +62,14 @@ _DEFAULTS = {
 _TOLERANCE_KEYS = {"rel_bounded", "rel_quadratic", "rel_cov", "slack",
                    "slope_window", "k"}
 
+# least values of the numeric keys: counts are >= 1, the horizon >= 0
+_LEAST = {"samples": 1, "replicas": 1, "resolution": 1, "box_radius": 1,
+          "max_occupied": 1, "threads": 1, "t": 0}
+
 
 @dataclasses.dataclass
 class RunConfig:
     kernel: Kernel
-    raw: dict
     values: dict
 
     def __getattr__(self, name):
@@ -111,6 +114,14 @@ def parse_config(source) -> RunConfig:
         if not isinstance(val, want) or isinstance(val, bool) and want is int:
             raise ConfigError(
                 f"config key {key!r} must be {getattr(want, '__name__', want)}")
+        # "not >=" also rejects NaN
+        if key in _LEAST and not val >= _LEAST[key]:
+            raise ConfigError(f"config key {key!r} must be >= {_LEAST[key]}, "
+                              f"got {val!r}")
+    if "t_grid" in obj:
+        _check_times("t_grid", obj["t_grid"], 1, positive=False)
+    if "t_grid_overlap" in obj:
+        _check_times("t_grid_overlap", obj["t_grid_overlap"], 2, positive=True)
     for key in obj.get("tolerances", {}):
         if key not in _TOLERANCE_KEYS:
             raise ConfigError(f"unknown tolerances key {key!r}")
@@ -127,7 +138,19 @@ def parse_config(source) -> RunConfig:
     for key in ("a", "b"):
         if key in obj:
             _check_site(key, obj[key], kernel.d)
-    return RunConfig(kernel=kernel, raw=obj, values=values)
+    return RunConfig(kernel=kernel, values=values)
+
+
+def _check_times(key, times, least, positive):
+    ok = (len(times) >= least
+          and all(type(t) in (int, float) and (t > 0 if positive else t >= 0)
+                  for t in times)
+          and all(a < b for a, b in zip(times, times[1:])))
+    if not ok:
+        raise ConfigError(
+            f"config key {key!r} must hold at least {least} times "
+            f"{'> 0' if positive else '>= 0'}, strictly increasing, "
+            f"got {times!r}")
 
 
 def _check_site(name, x, d):
@@ -306,8 +329,7 @@ def _cmd_fk3(cfg):
                           cfg.samples, cfg.seed)
     _emit({"config": cfg.resolved(), "value": res.value,
            "standard_error": res.standard_error, "samples": res.samples,
-           "trimmed_value": res.trimmed_value,
-           "trim_fraction": res.trim_fraction},
+           "hill_index": res.metadata["hill_index"]},
           _out_path(cfg, "fk3.json"))
     return 0
 
@@ -330,39 +352,39 @@ def _cmd_verify_martingale(cfg):
     return _report(cfg, "verify_martingale", stats.martingale_check(summary))
 
 
+def _tolerances(cfg, **args):
+    """The tolerances the config sets, keyed by the check's argument names;
+    the others keep the check's own defaults."""
+    return {arg: cfg.tolerances[key] for key, arg in args.items()
+            if key in cfg.tolerances}
+
+
 def _cmd_verify_clt(cfg):
-    tol = cfg.tolerances
     summary = engine.run_ensemble(cfg.kernel, cfg.initial, cfg.t_grid,
                                   cfg.replicas, cfg.seed, dual=cfg.dual,
                                   threads=cfg.threads,
                                   max_occupied=cfg.max_occupied,
                                   battery=stats.default_battery)
-    results = stats.clt_check(summary, cfg.kernel,
-                              rel_tol_bounded=tol.get("rel_bounded", 0.05),
-                              rel_tol_quadratic=tol.get("rel_quadratic", 0.10),
-                              k=tol.get("k", 3.0))
+    results = stats.clt_check(summary, cfg.kernel, **_tolerances(
+        cfg, rel_bounded="rel_tol_bounded", rel_quadratic="rel_tol_quadratic",
+        k="k"))
     return _report(cfg, "verify_clt", results)
 
 
 def _cmd_verify_cov(cfg):
-    tol = cfg.tolerances
     a = tuple(cfg.values.get("a") or [0] * cfg.kernel.d)
     b = tuple(cfg.values.get("b") or [0] * cfg.kernel.d)
     res = stats.covariance_limit_check(
         cfg.kernel, a, b, cfg.t, cfg.samples, cfg.seed,
-        rel_tol=tol.get("rel_cov", 0.10), k=tol.get("k", 3.0),
-        resolution=cfg.resolution)
+        resolution=cfg.resolution, **_tolerances(cfg, rel_cov="rel_tol", k="k"))
     return _report(cfg, "verify_cov", res)
 
 
 def _cmd_verify_overlap(cfg):
-    tol = cfg.tolerances
     res = stats.overlap_decay_check(
         cfg.kernel, cfg.values.get("t_grid_overlap") or [5, 10, 20, 40],
-        cfg.samples, cfg.seed, initial=cfg.initial,
-        slack=tol.get("slack", 1.5),
-        slope_window=tuple(tol.get("slope_window", (-2.0, -1.2))),
-        k=tol.get("k", 3.0))
+        cfg.samples, cfg.seed, initial=cfg.initial, **_tolerances(
+            cfg, slack="slack", slope_window="slope_window", k="k"))
     return _report(cfg, "verify_overlap", res)
 
 
@@ -414,6 +436,8 @@ def main(argv=None):
             except ValueError:
                 raise ConfigError(
                     f"LINSYS_THREADS must be an integer, got {env!r}")
+        if cfg.threads < 1:
+            raise ConfigError(f"threads must be >= 1, got {cfg.threads}")
         if args.output_dir is not None:
             cfg.values["output_dir"] = args.output_dir
         return dispatch(args.subcommand, cfg)

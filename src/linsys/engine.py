@@ -109,7 +109,6 @@ class _KernelTables:
     a replica worker builds them once for all its replicas."""
 
     def __init__(self, kernel: Kernel):
-        self.kernel = kernel
         self.d = kernel.d
         mom = kernel_moments(kernel)
         self.kappa1 = mom.kappa1
@@ -166,7 +165,6 @@ class ProcessState:
         if not initial:
             raise EngineError("initial configuration is empty; the process "
                               "would be identically zero")
-        self.kernel = tables.kernel
         self.d = tables.d
         self.dual = bool(dual)
         self.t = 0.0
@@ -217,10 +215,6 @@ class ProcessState:
             for k in masses:
                 masses[k] *= factor
             self.log_scale += math.log(hi)
-
-    def total_mass(self):
-        """Unscaled total; true total is this times exp(log_scale)."""
-        return math.fsum(self.masses.values())
 
     # -- core loop ---------------------------------------------------------
 
@@ -530,8 +524,8 @@ def _run_replicas(kernel_dict, initial, t_grid, dual, base_seed, lo, hi,
     clocks, the count of recorded grid times and the total event count."""
     kernel = Kernel.from_dict(kernel_dict)
     tables = _KernelTables(kernel)
-    test_functions = _build_battery_functions(battery_spec, kernel)
-    battery_names = sorted(test_functions) if test_functions else []
+    test_functions = battery_spec(kernel) if battery_spec else {}
+    battery_names = sorted(test_functions)
     d = kernel.d
     out = np.zeros((hi - lo, len(t_grid), len(_scalar_names(d, battery_names))))
     clock = np.zeros((hi - lo, len(t_grid)))
@@ -555,14 +549,6 @@ def _run_replicas(kernel_dict, initial, t_grid, dual, base_seed, lo, hi,
     return out, clock, recorded, events
 
 
-def _build_battery_functions(battery_spec, kernel):
-    if battery_spec is None:
-        return None
-    if callable(battery_spec):
-        return battery_spec(kernel)
-    return battery_spec
-
-
 def run_ensemble(kernel: Kernel, initial, t_grid, replicas, base_seed,
                  dual=False, threads=1, max_occupied=5_000_000,
                  battery=None) -> EnsembleSummary:
@@ -580,8 +566,7 @@ def run_ensemble(kernel: Kernel, initial, t_grid, replicas, base_seed,
     if replicas < 1:
         raise EngineError("replicas must be >= 1")
     kern_dict = kernel.to_dict()
-    test_functions = _build_battery_functions(battery, kernel)
-    battery_names = sorted(test_functions) if test_functions else []
+    battery_names = sorted(battery(kernel)) if battery else []
     names = _scalar_names(kernel.d, battery_names)
 
     chunk = max(64, (replicas + 4 * max(threads, 1) - 1) // (4 * max(threads, 1)))

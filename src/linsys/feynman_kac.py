@@ -79,9 +79,7 @@ class GammaTable:
         self.kernel = kernel
         self.d = kernel.d
         self.zero = tuple([0] * kernel.d)
-        mom = kernel_moments(kernel)
-        self.kappa1 = mom.kappa1
-        self.kappa2 = mom.kappa2
+        self.kappa1 = kernel_moments(kernel).kappa1
         self.r_K = kernel.r_K
         self.mu = kernel.mean_vector
         sup = set(kernel.support) | {self.zero}
@@ -152,27 +150,6 @@ class GammaTable:
                         jump = (_neg(dy), _neg(dyt))
                         out[jump] = out.get(jump, 0.0) + rate
         return sorted(out.items())
-
-    def row_sum(self, w):
-        """sum over all targets of Gamma[(x,xt), .]; must equal V(w)."""
-        return self.diagonal_entry(w) + sum(r for _, r in self.x_jump_rates(w))
-
-    def column_sum(self, w):
-        """sum over all sources of Gamma[., (x,xt)] by translation invariance."""
-        total = self.diagonal_entry(w)
-        reach = 2 * self.r_K + max(sum(abs(c) for c in w), 2 * self.r_K)
-        for wp in _l1_ball(self.d, reach):
-            for (dy, dyt), rate in self.x_jump_rates(wp):
-                if _add(wp, _add(dy, _neg(dyt))) == tuple(w):
-                    total += rate
-        return total
-
-    def stationary(self, tol=1e-12):
-        """Row sums equal column sums (counting-measure stationarity)."""
-        for w in _l1_ball(self.d, 2 * self.r_K):
-            if abs(self.row_sum(w) - self.column_sum(w)) > tol:
-                return False
-        return True
 
     def negative_offdiag(self, tol=1e-12):
         """Off-diagonal entries below -tol, as (w, jump, rate) tuples."""
@@ -250,7 +227,7 @@ def _one_point_walk(kernel: Kernel) -> WalkSpec:
         return walk_from_kernel(kernel, symmetrized=False)
     except DegenerateWalkError:
         # no mass moves between sites: the generator is its diagonal
-        return WalkSpec(d=kernel.d, rates={}, total_rate=0.0, symmetrized=False)
+        return WalkSpec(d=kernel.d, rates={}, total_rate=0.0)
 
 
 def _pair_generator(table: GammaTable, R):
@@ -355,7 +332,7 @@ def one_point_profile(kernel: Kernel, initial, t, radius):
 
 
 def exp_local_time_moment(kernel: Kernel, t, radius=None, start=None,
-                          kappa2_override=None, f=None) -> float:
+                          f=None) -> float:
     """Exact E_S^start[exp(kappa_2/2 * local time at 0 up to 2t) f(S_2t)].
 
     Deterministic Schrodinger-semigroup value: evolves
@@ -365,9 +342,8 @@ def exp_local_time_moment(kernel: Kernel, t, radius=None, start=None,
     are tested against: for a single initial particle, f = 1 gives
     P[|etabar_t|^2] and f = f_delta0 the overlap sum_x P[etabar_{t,x}^2].
     """
-    mom = kernel_moments(kernel)
-    beta = 0.5 * (mom.kappa2 if kappa2_override is None else kappa2_override)
     walk = walk_from_kernel(kernel)
+    beta = 0.5 * walk.kappa2
     T = 2.0 * float(t)
     d = kernel.d
     if radius is None:
@@ -387,15 +363,6 @@ def exp_local_time_moment(kernel: Kernel, t, radius=None, start=None,
     return float(v[index[start]])
 
 
-def one_point(kernel: Kernel, initial, t, x, radius=None) -> float:
-    """P[eta_{t,x}] = exp(kappa_1 t) P_X^x[eta_0(X_t)]."""
-    if radius is None:
-        spread = max(4, int(math.ceil(3 * kernel.r_K * (1 + float(t)))))
-        radius = max(abs(c) for s, _ in initial for c in s) + spread
-    prof = one_point_profile(kernel, initial, t, radius)
-    return prof[tuple(x)]
-
-
 # ---------------------------------------------------------------------------
 # Weighted-walk (FK3) estimator
 
@@ -405,8 +372,6 @@ class EstimateResult:
     value: float
     standard_error: float
     samples: int
-    trimmed_value: float = math.nan
-    trim_fraction: float = 0.0
     metadata: dict = field(default_factory=dict)
 
 
@@ -418,7 +383,7 @@ def f_delta0(offsets):
     return (~np.asarray(offsets).any(axis=1)).astype(float)
 
 
-def _initial_pair_offsets(initial, d):
+def _initial_pair_offsets(initial):
     """Aggregated weights eta0_x * eta0_xt keyed by the pair offset x - xt."""
     wmap = {}
     for x, mx in initial:
@@ -448,20 +413,20 @@ def hill_index(sample):
 
 
 def fk3_estimate(kernel: Kernel, initial, t, f, samples, seed,
-                 kappa2_override=None, trim=1e-4) -> EstimateResult:
+                 kappa2_override=None) -> EstimateResult:
     """Monte Carlo for sum_{x,xt} P[etabar_{t,x} etabar_{t,xt}] f(x - xt).
 
     Simulates the symmetrized walk to time 2t from every initial pair
     offset, weighting by exp(kappa_2/2 * exact local time at 0).  The
     weight is heavy tailed near criticality (Pareto index
-    2/(kappa_2 G(0)) in theory), so a tail-trimmed mean is reported
-    alongside the plain one (acceptance uses the plain mean), and the
-    metadata holds the weights' ``hill_index`` over all offsets, before f
-    (nan for a frozen walk, which draws no sample).
+    2/(kappa_2 G(0)) in theory), so the metadata holds the weights'
+    ``hill_index`` over all offsets, before f: below 2 the weight has
+    infinite variance and the standard error is no error bar (nan for a
+    frozen walk, which draws no sample).
     """
     mom = kernel_moments(kernel)
     kappa2 = mom.kappa2 if kappa2_override is None else float(kappa2_override)
-    wmap = _initial_pair_offsets(initial, kernel.d)
+    wmap = _initial_pair_offsets(initial)
     horizon = 2.0 * float(t)
     try:
         walk = walk_from_kernel(kernel)
@@ -470,15 +435,12 @@ def fk3_estimate(kernel: Kernel, initial, t, f, samples, seed,
         value = sum(W * math.exp(0.5 * kappa2 * horizon * (not any(w0))) *
                     float(f(np.asarray([w0]))[0]) for w0, W in wmap.items())
         return EstimateResult(value=value, standard_error=0.0, samples=0,
-                              trimmed_value=value,
                               metadata={"kappa2": kappa2, "horizon": horizon,
                                         "hill_index": math.nan})
     rng = np.random.Generator(np.random.Philox(
         np.random.SeedSequence([int(seed) & 0xFFFFFFFFFFFFFFFF, 0x1D3])))
     value = 0.0
     var = 0.0
-    raw_all = []
-    weight_all = []
     plain_weights = []
     for w0 in sorted(wmap):
         W = wmap[w0]
@@ -487,16 +449,9 @@ def fk3_estimate(kernel: Kernel, initial, t, f, samples, seed,
         vals = weight * np.asarray(f(pos), dtype=float)
         value += W * vals.mean()
         var += W**2 * vals.var(ddof=1) / samples if samples > 1 else 0.0
-        raw_all.append(vals)
-        weight_all.append(W)
         plain_weights.append(weight)
-    trimmed = 0.0
-    for W, vals in zip(weight_all, raw_all):
-        k = max(1, int(len(vals) * (1.0 - trim)))
-        trimmed += W * np.sort(vals)[:k].mean()
     return EstimateResult(value=value, standard_error=math.sqrt(var),
-                          samples=samples * len(wmap), trimmed_value=trimmed,
-                          trim_fraction=trim,
+                          samples=samples * len(wmap),
                           metadata={"kappa2": kappa2, "horizon": horizon,
                                     "hill_index": hill_index(
                                         np.concatenate(plain_weights))})
@@ -601,7 +556,7 @@ def _h_field(walk: WalkSpec, radius=40):
 
 
 def fk3_limit_estimate(kernel: Kernel, offset, t, samples, seed, f=None,
-                       batch=50_000, kappa2_override=None) -> EstimateResult:
+                       batch=50_000) -> EstimateResult:
     """E_S^offset[exp(kappa_2/2 * local time at 0 up to 2t) f(S_{2t})]
     by importance sampling under the h-tilted walk.
 
@@ -614,7 +569,7 @@ def fk3_limit_estimate(kernel: Kernel, offset, t, samples, seed, f=None,
     """
     walk = walk_from_kernel(kernel)
     field = _h_field(walk)
-    beta = 0.5 * (walk.kappa2 if kappa2_override is None else kappa2_override)
+    beta = 0.5 * walk.kappa2
     steps = np.asarray(sorted(walk.rates), dtype=np.int64)
     K = len(steps)
     # per coordinate: the offsets of the position itself (0) and of its

@@ -27,7 +27,6 @@ off-diagonal pair-chain rates.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -175,10 +174,6 @@ class Kernel:
         ]
         return cls(d, atoms)
 
-    @classmethod
-    def from_json(cls, text):
-        return cls.from_dict(json.loads(text))
-
 
 @dataclass(eq=False)
 class KernelMoments:
@@ -195,11 +190,6 @@ class ValidationReport:
     strong_k4: bool
     offdiag_gamma_nonnegative: bool
     violations: list = field(default_factory=list)
-
-    @property
-    def all_ok(self):
-        return (self.k1_spanning and self.k4_orthogonal and self.strong_k4
-                and self.offdiag_gamma_nonnegative)
 
 
 def make_bcpp_kernel(d, lam):

@@ -358,11 +358,7 @@ def second_moment_boundedness_check(kernel: Kernel, summary,
                    "means": means})
         return _fail_if_truncated(summary, [res])[0]
 
-    pair_offsets = {}
-    for x, mx in initial:
-        for y, my in initial:
-            w = tuple(int(cx) - int(cy) for cx, cy in zip(x, y))
-            pair_offsets[w] = pair_offsets.get(w, 0.0) + mx * my
+    pair_offsets = fk._initial_pair_offsets(initial)
     h = walk_mod.h_of_x(kernel, list(pair_offsets), resolution=resolution)
     h0 = h[tuple([0] * kernel.d)]
     upper = h0 * eta0_total**2

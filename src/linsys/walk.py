@@ -67,7 +67,6 @@ class WalkSpec:
     d: int
     rates: dict
     total_rate: float
-    symmetrized: bool = True
     kappa2: float = 0.0
 
 
@@ -105,7 +104,6 @@ def walk_from_kernel(kernel: Kernel, symmetrized: bool = True) -> WalkSpec:
         d=kernel.d,
         rates=rates,
         total_rate=sum(rates.values()),
-        symmetrized=symmetrized,
         kappa2=kernel_moments(kernel).kappa2,
     )
 
@@ -301,7 +299,7 @@ def simple_walk(d) -> WalkSpec:
     for i in range(d):
         for s in (+1, -1):
             rates[tuple(s if j == i else 0 for j in range(d))] = 1.0
-    return WalkSpec(d=d, rates=rates, total_rate=2.0 * d, symmetrized=True)
+    return WalkSpec(d=d, rates=rates, total_rate=2.0 * d)
 
 
 def return_probability(d, resolution=None):

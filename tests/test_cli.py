@@ -240,6 +240,7 @@ def test_cli_fk3(capsys):
     out = json.loads(capsys.readouterr().out)
     assert abs(out["value"] - 1.475) < 0.02
     assert out["standard_error"] > 0
+    assert out["hill_index"] > 0 and "trimmed_value" not in out
 
 
 def test_cli_oracle(capsys):
@@ -291,6 +292,45 @@ def test_cli_verify_cov_site_dimension_mismatch(capsys):
     cfg = {"bcpp": {"d": 3, "lambda": 1.0}, "a": [1], "t": 10, "samples": 10}
     assert main(["verify-cov", json.dumps(cfg)]) == 2
     assert _config_error(capsys).startswith("a must be a list of 3 integers")
+
+
+BCPP3 = {"bcpp": {"d": 3, "lambda": 1.0}}
+
+
+@pytest.mark.parametrize("command, bad, key", [
+    ("fk3", {"t": -1, "samples": 1000}, "'t'"),
+    ("fk3", {"samples": 0}, "'samples'"),
+    ("verify-overlap", {"samples": 0}, "'samples'"),
+    ("verify-cov", {"samples": 0}, "'samples'"),
+    ("simulate", {"replicas": 0}, "'replicas'"),
+    ("simulate", {"t_grid": [-1.0, 2.0], "replicas": 10}, "'t_grid'"),
+    ("criterion", {"resolution": 0}, "'resolution'"),
+    ("oracle-two-point", {"box_radius": -1}, "'box_radius'"),
+    ("verify-overlap", {"t_grid_overlap": [-1, 2], "samples": 1000},
+     "'t_grid_overlap'"),
+    ("simulate", {"max_occupied": 0, "replicas": 10}, "'max_occupied'"),
+    ("simulate", {"threads": 0, "replicas": 10}, "'threads'"),
+], ids=["fk3-negative-t", "fk3-samples-0", "overlap-samples-0",
+        "cov-samples-0", "replicas-0", "negative-t-grid", "resolution-0",
+        "negative-box-radius", "negative-overlap-time", "max-occupied-0",
+        "threads-0"])
+def test_cli_bad_input_exits_2(capsys, command, bad, key):
+    assert main([command, json.dumps({**BCPP3, **bad})]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    err = json.loads(err)
+    assert err["error"] == "config" and key in err["message"]
+
+
+def test_cli_threads_override_below_one(capsys):
+    assert main(["criterion", json.dumps(BCPP3), "--threads", "0"]) == 2
+    assert "threads" in _config_error(capsys)
+
+
+def test_parse_accepts_every_default():
+    given = {k: v for k, v in cli._DEFAULTS.items() if v is not None}
+    assert parse_config(json.dumps({**BCPP3, **given})).values == {
+        **cli._DEFAULTS, "initial": [((0, 0, 0), 1.0)]}
 
 
 def test_cli_threads_env_not_integer(capsys, monkeypatch):
