@@ -16,13 +16,14 @@ import argparse
 import dataclasses
 import json
 import os
+import re
 import sys
 
 import numpy as np
 import scipy
 
 from . import engine, feynman_kac as fk, stats, walk as walk_mod
-from .kernel import Kernel, KernelError, make_bcpp_kernel, validate_kernel
+from .kernel import Kernel, KernelError, validate_kernel
 
 FORMAT_VERSION = "linsys-cli-1"
 
@@ -31,46 +32,162 @@ class ConfigError(ValueError):
     pass
 
 
-_ALLOWED_KEYS = {
-    "kernel": dict, "bcpp": dict, "initial": list, "t_grid": list,
-    "t": (int, float), "replicas": int, "samples": int, "seed": int,
-    "dual": bool, "threads": int, "max_occupied": int,
-    "method": str, "resolution": int, "offsets": list, "box_radius": int,
-    "f": str, "a": list, "b": list, "t_grid_overlap": list,
-    "tolerances": dict, "output_dir": str, "battery": bool,
+# ---------------------------------------------------------------------------
+# The config table.  A check takes (value, path, ctx) and returns the value,
+# parsed, or raises a ConfigError naming the path and its config key; ctx
+# holds the kernel's dimension "d", the "command" and the "values" so far.
+
+
+def _error(path, message):
+    key = re.match(r"[a-z_]+", path)[0]
+    return ConfigError(f"{message} (config key {key!r})")
+
+
+def _rule(want, ok):
+    def check(v, path, ctx):
+        if not ok(v):
+            raise _error(path, f"{path} must be {want}, got {v!r}")
+        return v
+    return check
+
+
+def _finite(v):
+    # never a bool; the bound fails on NaN, infinities and too large ints
+    return type(v) in (int, float) and abs(v) <= sys.float_info.max
+
+
+_COUNT = _rule("an integer >= 1", lambda v: type(v) is int and v >= 1)
+_NONNEGATIVE = _rule("a finite number >= 0", lambda v: _finite(v) and v >= 0)
+_POSITIVE = _rule("a finite number > 0", lambda v: _finite(v) and v > 0)
+_BOOL = _rule("true or false", lambda v: type(v) is bool)
+_WINDOW = _rule("a pair [lo, hi] of finite numbers, lo < hi",
+                lambda v: isinstance(v, list) and len(v) == 2
+                and all(map(_finite, v)) and v[0] < v[1])
+
+
+def _choice(*options):
+    return _rule("one of " + ", ".join(map(repr, options)),
+                 lambda v: v in options)
+
+
+def _times(least, op):
+    return _rule(f"a list of at least {least} finite times {op} 0, "
+                 "strictly increasing",
+                 lambda v: isinstance(v, list) and len(v) >= least
+                 and all(map(_finite, v))
+                 and (v[0] > 0 if op == ">" else v[0] >= 0)
+                 and all(a < b for a, b in zip(v, v[1:])))
+
+
+def _site(v, path, ctx):
+    return _rule(f"a list of {ctx['d']} integers, one per dimension",
+                 lambda v: isinstance(v, list) and len(v) == ctx["d"]
+                 and all(type(c) is int for c in v))(v, path, ctx)
+
+
+def _resolution(v, path, ctx):
+    quadrature = (ctx["command"] in ("criterion", "verify-cov")
+                  or ctx["command"] == "green"
+                  and ctx["values"]["method"] == "fourier_quadrature")
+    want = ", a multiple of 4 for the quadrature" if quadrature else ""
+    return _rule("null or an integer >= 1" + want,
+                 lambda v: v is None or type(v) is int and v >= 1
+                 and not (quadrature and v % 4))(v, path, ctx)
+
+
+def _list_of(item, nonempty=False):
+    def check(v, path, ctx):
+        if not (isinstance(v, list) and (v or not nonempty)):
+            raise _error(path, f"{path} must be a "
+                               f"{'non-empty ' * nonempty}list, got {v!r}")
+        return [item(x, f"{path}[{i}]", ctx) for i, x in enumerate(v)]
+    return check
+
+
+def _object(fields, required=()):
+    def check(v, path, ctx):
+        if not isinstance(v, dict):
+            raise _error(path, f"{path} must be an object, got {v!r}")
+        unknown = [key for key in v if key not in fields]
+        missing = [key for key in required if key not in v]
+        if unknown or missing:
+            raise _error(path, f"unknown {path} key {unknown[0]!r}" if unknown
+                         else f"{path} needs key {missing[0]!r}")
+        for key, field in fields.items():
+            if key in v:
+                field(v[key], f"{path}.{key}", ctx)
+        return v
+    return check
+
+
+_BCPP = _object({"d": _COUNT, "lambda": _POSITIVE}, required=("d", "lambda"))
+_ATOMS = _object({"d": _COUNT, "atoms": _list_of(_object(
+    {"p": _NONNEGATIVE, "v": _list_of(_object(
+        {"x": _site, "val": _NONNEGATIVE}, required=("x", "val")))},
+    required=("p",)))}, required=("d", "atoms"))
+_INITIAL = _list_of(_object({"x": _site, "mass": _POSITIVE},
+                            required=("x",)), nonempty=True)
+
+
+def _kernel(v, path, ctx):
+    if isinstance(v, dict) and "bcpp" in v:  # {"kernel": {"bcpp": {...}}}
+        return _object({"bcpp": _BCPP})(v, path, ctx)
+    # the atoms' sites have the dimension the spec states, checked first
+    return _ATOMS(v, path, {"d": v.get("d") if isinstance(v, dict) else 0})
+
+
+def _initial(v, path, ctx):
+    return [(tuple(e["x"]), float(e.get("mass", 1.0)))
+            for e in _INITIAL(v, path, ctx)]
+
+
+_TEST_FUNCTIONS = {"one": fk.f_one, "delta0": fk.f_delta0}
+_TOLERANCES = {"rel_bounded": _NONNEGATIVE, "rel_quadratic": _NONNEGATIVE,
+               "rel_cov": _NONNEGATIVE, "slack": _NONNEGATIVE,
+               "slope_window": _WINDOW, "k": _NONNEGATIVE}
+
+
+# Every config key: (check, default, echo), checked in this order (so
+# "method" before "resolution").  A callable default takes the kernel's
+# dimension; defaults pass the checks too.  The artifacts echo a key
+# "always", only when the config "set"s it, or "never".
+_CONFIG = {
+    # the kernel: exactly one of the two; the echo holds its atoms instead
+    "bcpp": (_BCPP, None, "never"),
+    "kernel": (_kernel, None, "never"),
+    "initial": (_initial, lambda d: [{"x": [0] * d}], "always"),
+    "t": (_NONNEGATIVE, 10.0, "always"),
+    "t_grid": (_times(1, ">="), [1.0, 5.0, 10.0], "always"),
+    "t_grid_overlap": (_times(2, ">"), [5, 10, 20, 40], "set"),
+    "replicas": (_COUNT, 1000, "always"),
+    "samples": (_COUNT, 100_000, "always"),
+    "seed": (_rule("an integer", lambda v: type(v) is int), 0, "always"),
+    "dual": (_BOOL, False, "always"),
+    "battery": (_BOOL, False, "always"),
+    "max_occupied": (_COUNT, 5_000_000, "always"),
+    "f": (_choice(*_TEST_FUNCTIONS), "one", "always"),
+    "method": (_choice("fourier_quadrature", "truncated_solve"),
+               "fourier_quadrature", "always"),
+    "resolution": (_resolution, None, "always"),
+    "offsets": (_list_of(_site), [], "always"),
+    "a": (_site, lambda d: [0] * d, "set"),
+    "b": (_site, lambda d: [0] * d, "set"),
+    "box_radius": (_COUNT, 6, "always"),
+    "tolerances": (_object(_TOLERANCES), {}, "always"),
+    # environmental, not semantic: keeping them out of the echo makes
+    # artifacts byte-identical across worker counts and working directories
+    "threads": (_COUNT, 1, "never"),
+    "output_dir": (_rule("a string or null",
+                         lambda v: v is None or type(v) is str),
+                   None, "never"),
 }
-
-_DEFAULTS = {
-    "t_grid": [1.0, 5.0, 10.0],
-    "replicas": 1000,
-    "samples": 100_000,
-    "seed": 0,
-    "dual": False,
-    "threads": 1,
-    "max_occupied": 5_000_000,
-    "method": "fourier_quadrature",
-    "resolution": None,
-    "offsets": [],
-    "box_radius": 6,
-    "f": "one",
-    "t": 10.0,
-    "tolerances": {},
-    "output_dir": None,
-    "battery": False,
-}
-
-_TOLERANCE_KEYS = {"rel_bounded", "rel_quadratic", "rel_cov", "slack",
-                   "slope_window", "k"}
-
-# least values of the numeric keys: counts are >= 1, the horizon >= 0
-_LEAST = {"samples": 1, "replicas": 1, "resolution": 1, "box_radius": 1,
-          "max_occupied": 1, "threads": 1, "t": 0}
 
 
 @dataclasses.dataclass
 class RunConfig:
     kernel: Kernel
     values: dict
+    echo: dict  # the values the artifacts echo
 
     def __getattr__(self, name):
         try:
@@ -79,134 +196,57 @@ class RunConfig:
             raise AttributeError(name)
 
     def resolved(self):
-        # output_dir and threads are environmental, not semantic: keeping
-        # them out of the echo makes artifacts byte-identical across working
-        # directories and worker counts
-        out = {k: v for k, v in self.values.items()
-               if k not in ("output_dir", "threads")}
-        out["kernel"] = self.kernel.to_dict()
-        out["format_version"] = FORMAT_VERSION
-        return out
+        return {**self.echo, "kernel": self.kernel.to_dict(),
+                "format_version": FORMAT_VERSION}
 
 
-def parse_config(source) -> RunConfig:
-    """Load and validate a config from a file path or inline JSON text."""
-    if isinstance(source, dict):
-        obj = source
-    else:
-        text = source
+def parse_config(source, command=None, overrides=None) -> RunConfig:
+    """Load and check a config from a file path, inline JSON text or a
+    dict, for the subcommand ``command`` (the resolution rule depends on
+    it); ``overrides`` are checked like the config's keys and win."""
+    obj = source
+    if not isinstance(source, dict):
         if os.path.exists(source):
             with open(source) as fh:
-                text = fh.read()
+                source = fh.read()
         try:
-            obj = json.loads(text)
+            obj = json.loads(source)
         except json.JSONDecodeError as e:
             raise ConfigError(f"config is not valid JSON: {e}")
     if not isinstance(obj, dict):
         raise ConfigError("config must be a JSON object")
-
-    for key, val in obj.items():
-        if key not in _ALLOWED_KEYS:
+    overrides = overrides or {}
+    for key in (*obj, *overrides):
+        if key not in _CONFIG:
             raise ConfigError(f"unknown config key {key!r}")
-        want = _ALLOWED_KEYS[key]
-        if key == "resolution" and val is None:
-            continue
-        if not isinstance(val, want) or isinstance(val, bool) and want is int:
-            raise ConfigError(
-                f"config key {key!r} must be {getattr(want, '__name__', want)}")
-        # "not >=" also rejects NaN
-        if key in _LEAST and not val >= _LEAST[key]:
-            raise ConfigError(f"config key {key!r} must be >= {_LEAST[key]}, "
-                              f"got {val!r}")
-    if "t_grid" in obj:
-        _check_times("t_grid", obj["t_grid"], 1, positive=False)
-    if "t_grid_overlap" in obj:
-        _check_times("t_grid_overlap", obj["t_grid_overlap"], 2, positive=True)
-    for key in obj.get("tolerances", {}):
-        if key not in _TOLERANCE_KEYS:
-            raise ConfigError(f"unknown tolerances key {key!r}")
-
-    kernel = _parse_kernel(obj)
-    values = dict(_DEFAULTS)
-    for key, val in obj.items():
-        if key in ("kernel", "bcpp"):
-            continue
-        values[key] = val
-    values["initial"] = _parse_initial(obj.get("initial"), kernel.d)
-    for i, x in enumerate(obj.get("offsets", [])):
-        _check_site(f"offsets[{i}]", x, kernel.d)
-    for key in ("a", "b"):
-        if key in obj:
-            _check_site(key, obj[key], kernel.d)
-    return RunConfig(kernel=kernel, values=values)
-
-
-def _check_times(key, times, least, positive):
-    ok = (len(times) >= least
-          and all(type(t) in (int, float) and (t > 0 if positive else t >= 0)
-                  for t in times)
-          and all(a < b for a, b in zip(times, times[1:])))
-    if not ok:
-        raise ConfigError(
-            f"config key {key!r} must hold at least {least} times "
-            f"{'> 0' if positive else '>= 0'}, strictly increasing, "
-            f"got {times!r}")
-
-
-def _check_site(name, x, d):
-    if not (isinstance(x, list) and len(x) == d
-            and all(type(c) is int for c in x)):
-        raise ConfigError(f"{name} must be a list of {d} integers, got {x!r}")
-
-
-def _parse_kernel(obj) -> Kernel:
-    if "bcpp" in obj:
-        spec = obj["bcpp"]
-        for key in spec:
-            if key not in ("d", "lambda"):
-                raise ConfigError(f"unknown bcpp key {key!r}")
-        try:
-            return make_bcpp_kernel(spec["d"], spec["lambda"])
-        except KeyError as e:
-            raise ConfigError(f"bcpp shorthand missing key {e}")
-        except KernelError as e:
-            raise ConfigError(str(e))
-    if "kernel" not in obj:
-        raise ConfigError("config needs a 'kernel' object or 'bcpp' shorthand")
-    spec = obj["kernel"]
-    for key in spec:
-        if key not in ("d", "atoms", "bcpp"):
-            raise ConfigError(f"unknown kernel key {key!r}")
+    if ("bcpp" in obj) == ("kernel" in obj):
+        raise ConfigError("config needs exactly one of a 'kernel' object "
+                          "and the 'bcpp' shorthand")
+    key = "bcpp" if "bcpp" in obj else "kernel"
+    _CONFIG[key][0](obj[key], key, {})
     try:
-        return Kernel.from_dict(spec)
+        kernel = Kernel.from_dict(obj.get("kernel", obj))
     except KernelError as e:
-        msg = str(e)
-        if "probabilities sum" in msg:
-            raise ConfigError(f"atoms[*].p invalid: {msg}")
-        raise ConfigError(msg)
-    except (KeyError, TypeError) as e:
-        raise ConfigError(f"malformed kernel spec: {e}")
-
-
-def _parse_initial(entries, d):
-    if not entries:
-        return [(tuple([0] * d), 1.0)]
-    out = []
-    for i, ent in enumerate(entries):
-        if not isinstance(ent, dict) or set(ent) - {"x", "mass"}:
-            raise ConfigError(f"initial[{i}] must be {{'x': [...], 'mass': m}}")
-        x = tuple(int(c) for c in ent["x"])
-        if len(x) != d:
-            raise ConfigError(f"initial[{i}].x has dimension {len(x)}, kernel has {d}")
-        m = float(ent.get("mass", 1.0))
-        if m <= 0:
-            raise ConfigError(f"initial[{i}].mass must be > 0")
-        out.append((x, m))
-    return out
+        # the checks leave only the atom probabilities to the kernel
+        raise ConfigError(f"{key}: atoms[*].p invalid: {e}")
+    ctx = {"d": kernel.d, "command": command, "values": {}}
+    values, echo = ctx["values"], {}
+    for key, (check, default, echoed) in _CONFIG.items():
+        if key in ("bcpp", "kernel"):
+            continue
+        given = [src[key] for src in (obj, overrides) if key in src]
+        if callable(default):
+            default = default(kernel.d)
+        for value in given or [default]:
+            values[key] = check(value, key, ctx)
+        if echoed == "always" or echoed == "set" and given:
+            echo[key] = values[key]
+    return RunConfig(kernel=kernel, values=values, echo=echo)
 
 
 def _emit(obj, path=None):
-    text = json.dumps(stats._jsonable(obj), indent=2, sort_keys=True)
+    text = json.dumps(stats._jsonable(obj), indent=2, sort_keys=True,
+                      allow_nan=False)
     if path:
         with open(path, "w") as fh:
             fh.write(text + "\n")
@@ -218,7 +258,6 @@ def _out_path(cfg, name):
     if cfg.output_dir:
         os.makedirs(cfg.output_dir, exist_ok=True)
         return os.path.join(cfg.output_dir, name)
-    return None
 
 
 def _emit_diagnostics(cfg, summary):
@@ -232,27 +271,15 @@ def _emit_diagnostics(cfg, summary):
                "numpy": np.__version__, "scipy": scipy.__version__}, path)
 
 
-def _named_f(name):
-    if name == "one":
-        return fk.f_one
-    if name == "delta0":
-        return fk.f_delta0
-    raise ConfigError(f"unknown test function {name!r} (use 'one' or 'delta0')")
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 
 
 def _cmd_validate_kernel(cfg):
     rep = validate_kernel(cfg.kernel)
-    _emit({"config": cfg.resolved(),
-           "report": {
-               "k1_spanning": rep.k1_spanning,
-               "k4_orthogonal": rep.k4_orthogonal,
-               "strong_k4": rep.strong_k4,
-               "offdiag_gamma_nonnegative": rep.offdiag_gamma_nonnegative,
-               "violations": [list(map(str, v)) for v in rep.violations]}},
+    _emit({"config": cfg.resolved(), "report": {
+        **dataclasses.asdict(rep),
+        "violations": [list(map(str, v)) for v in rep.violations]}},
           _out_path(cfg, "validate_kernel.json"))
     return 0
 
@@ -265,9 +292,8 @@ def _cmd_criterion(cfg):
 
 
 def _cmd_green(cfg):
-    w = walk_mod.walk_from_kernel(cfg.kernel)
-    tab = walk_mod.green(w, offsets=[tuple(x) for x in cfg.offsets],
-                         method=cfg.method, resolution=cfg.resolution)
+    tab = walk_mod.green(walk_mod.walk_from_kernel(cfg.kernel), cfg.offsets,
+                         cfg.method, cfg.resolution)
     _emit({"config": cfg.resolved(),
            "g": {str(list(x)): v for x, v in tab.values.items()},
            "pi_d": tab.pi_d, "criterion": tab.criterion_value,
@@ -278,15 +304,17 @@ def _cmd_green(cfg):
     return 0
 
 
-def _cmd_simulate(cfg):
-    battery = stats.default_battery if cfg.battery else None
-    summary = engine.run_ensemble(
+def _ensemble(cfg, battery=None):
+    return engine.run_ensemble(
         cfg.kernel, cfg.initial, cfg.t_grid, cfg.replicas, cfg.seed,
         dual=cfg.dual, threads=cfg.threads, max_occupied=cfg.max_occupied,
         battery=battery)
-    out = summary.to_dict()
-    out["config"] = cfg.resolved()
-    _emit(out, _out_path(cfg, "summary.json"))
+
+
+def _cmd_simulate(cfg):
+    summary = _ensemble(cfg, stats.default_battery if cfg.battery else None)
+    _emit({**summary.to_dict(), "config": cfg.resolved()},
+          _out_path(cfg, "summary.json"))
     _emit_diagnostics(cfg, summary)
     csv_path = _out_path(cfg, "trajectories.csv")
     if csv_path:
@@ -316,17 +344,16 @@ def _cmd_simulate(cfg):
 
 def _cmd_oracle_two_point(cfg):
     sol = fk.oracle_two_point(cfg.kernel, cfg.initial, cfg.t, cfg.box_radius)
-    u = sol.u[-1]
     _emit({"config": cfg.resolved(), "t": cfg.t, "radius": sol.radius,
            "sites": [list(s) for s in sol.sites],
-           "u": u.tolist(), "boundary_leak": sol.boundary_leak},
+           "u": sol.u[-1].tolist(), "boundary_leak": sol.boundary_leak},
           _out_path(cfg, "oracle_two_point.json"))
     return 0
 
 
 def _cmd_fk3(cfg):
-    res = fk.fk3_estimate(cfg.kernel, cfg.initial, cfg.t, _named_f(cfg.f),
-                          cfg.samples, cfg.seed)
+    res = fk.fk3_estimate(cfg.kernel, cfg.initial, cfg.t,
+                          _TEST_FUNCTIONS[cfg.f], cfg.samples, cfg.seed)
     _emit({"config": cfg.resolved(), "value": res.value,
            "standard_error": res.standard_error, "samples": res.samples,
            "hill_index": res.metadata["hill_index"]},
@@ -336,18 +363,14 @@ def _cmd_fk3(cfg):
 
 def _report(cfg, name, results):
     results = results if isinstance(results, list) else [results]
-    failed = [r for r in results if not r.passed and not r.skipped]
     _emit({"config": cfg.resolved(),
            "checks": [r.to_dict() for r in results]},
           _out_path(cfg, f"{name}.json"))
-    return 1 if failed else 0
+    return int(any(not r.passed and not r.skipped for r in results))
 
 
 def _cmd_verify_martingale(cfg):
-    summary = engine.run_ensemble(cfg.kernel, cfg.initial, cfg.t_grid,
-                                  cfg.replicas, cfg.seed, dual=cfg.dual,
-                                  threads=cfg.threads,
-                                  max_occupied=cfg.max_occupied)
+    summary = _ensemble(cfg)
     _emit_diagnostics(cfg, summary)
     return _report(cfg, "verify_martingale", stats.martingale_check(summary))
 
@@ -360,53 +383,38 @@ def _tolerances(cfg, **args):
 
 
 def _cmd_verify_clt(cfg):
-    summary = engine.run_ensemble(cfg.kernel, cfg.initial, cfg.t_grid,
-                                  cfg.replicas, cfg.seed, dual=cfg.dual,
-                                  threads=cfg.threads,
-                                  max_occupied=cfg.max_occupied,
-                                  battery=stats.default_battery)
-    results = stats.clt_check(summary, cfg.kernel, **_tolerances(
-        cfg, rel_bounded="rel_tol_bounded", rel_quadratic="rel_tol_quadratic",
-        k="k"))
+    results = stats.clt_check(
+        _ensemble(cfg, stats.default_battery), cfg.kernel, **_tolerances(
+            cfg, rel_bounded="rel_tol_bounded",
+            rel_quadratic="rel_tol_quadratic", k="k"))
     return _report(cfg, "verify_clt", results)
 
 
 def _cmd_verify_cov(cfg):
-    a = tuple(cfg.values.get("a") or [0] * cfg.kernel.d)
-    b = tuple(cfg.values.get("b") or [0] * cfg.kernel.d)
     res = stats.covariance_limit_check(
-        cfg.kernel, a, b, cfg.t, cfg.samples, cfg.seed,
+        cfg.kernel, cfg.a, cfg.b, cfg.t, cfg.samples, cfg.seed,
         resolution=cfg.resolution, **_tolerances(cfg, rel_cov="rel_tol", k="k"))
     return _report(cfg, "verify_cov", res)
 
 
 def _cmd_verify_overlap(cfg):
     res = stats.overlap_decay_check(
-        cfg.kernel, cfg.values.get("t_grid_overlap") or [5, 10, 20, 40],
-        cfg.samples, cfg.seed, initial=cfg.initial, **_tolerances(
-            cfg, slack="slack", slope_window="slope_window", k="k"))
+        cfg.kernel, cfg.t_grid_overlap, cfg.samples, cfg.seed,
+        initial=cfg.initial, **_tolerances(cfg, slack="slack", k="k",
+                                           slope_window="slope_window"))
     return _report(cfg, "verify_overlap", res)
 
 
-_COMMANDS = {
-    "validate-kernel": _cmd_validate_kernel,
-    "criterion": _cmd_criterion,
-    "green": _cmd_green,
-    "simulate": _cmd_simulate,
-    "oracle-two-point": _cmd_oracle_two_point,
-    "fk3": _cmd_fk3,
-    "verify-martingale": _cmd_verify_martingale,
-    "verify-clt": _cmd_verify_clt,
-    "verify-cov": _cmd_verify_cov,
-    "verify-overlap": _cmd_verify_overlap,
-}
+# `_cmd_verify_cov` runs `linsys verify-cov`, and so on
+_COMMANDS = {name[5:].replace("_", "-"): command
+             for name, command in list(globals().items())
+             if name.startswith("_cmd_")}
 
 
 def dispatch(subcommand, cfg: RunConfig) -> int:
-    command = _COMMANDS.get(subcommand)
-    if command is None:
+    if subcommand not in _COMMANDS:
         raise ConfigError(f"unknown subcommand {subcommand!r}")
-    return command(cfg)
+    return _COMMANDS[subcommand](cfg)
 
 
 def main(argv=None):
@@ -416,40 +424,31 @@ def main(argv=None):
                     "interacting particle systems on Z^d")
     parser.add_argument("subcommand", choices=sorted(_COMMANDS))
     parser.add_argument("config", help="path to a JSON config, or inline JSON")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="override the config seed")
-    parser.add_argument("--threads", type=int, default=None,
+    parser.add_argument("--seed", type=int, help="override the config seed")
+    parser.add_argument("--threads", type=int,
                         help="worker cap; does not affect results")
-    parser.add_argument("--output-dir", default=None)
+    parser.add_argument("--output-dir")
     args = parser.parse_args(argv)
 
+    overrides = {key: v for key, v in vars(args).items()
+                 if key in ("seed", "threads", "output_dir") and v is not None}
     try:
-        cfg = parse_config(args.config)
-        if args.seed is not None:
-            cfg.values["seed"] = args.seed
-        if args.threads is not None:
-            cfg.values["threads"] = args.threads
-        elif "LINSYS_THREADS" in os.environ:
-            env = os.environ["LINSYS_THREADS"]
+        env = os.environ.get("LINSYS_THREADS")
+        if args.threads is None and env is not None:
             try:
-                cfg.values["threads"] = int(env)
+                overrides["threads"] = int(env)
             except ValueError:
                 raise ConfigError(
                     f"LINSYS_THREADS must be an integer, got {env!r}")
-        if cfg.threads < 1:
-            raise ConfigError(f"threads must be >= 1, got {cfg.threads}")
-        if args.output_dir is not None:
-            cfg.values["output_dir"] = args.output_dir
-        return dispatch(args.subcommand, cfg)
-    except ConfigError as e:
-        json.dump({"error": "config", "message": str(e)}, sys.stderr)
+        return dispatch(args.subcommand, parse_config(
+            args.config, args.subcommand, overrides))
+    except (ConfigError, walk_mod.WalkError, fk.FeynmanKacError,
+            engine.EngineError, KernelError) as e:
+        config = isinstance(e, ConfigError)
+        json.dump({"error": "config" if config else type(e).__name__,
+                   "message": str(e)}, sys.stderr)
         sys.stderr.write("\n")
-        return 2
-    except (walk_mod.WalkError, fk.FeynmanKacError, engine.EngineError,
-            KernelError) as e:
-        json.dump({"error": type(e).__name__, "message": str(e)}, sys.stderr)
-        sys.stderr.write("\n")
-        return 3
+        return 2 if config else 3
 
 
 if __name__ == "__main__":

@@ -179,8 +179,9 @@ class ProcessState:
         self.masses = {}
         for x, m in initial:
             m = float(m)
-            if m <= 0:
-                raise EngineError(f"initial mass at {x} must be > 0, got {m}")
+            if not 0 < m < math.inf:
+                raise EngineError(
+                    f"initial mass at {x} must be finite and > 0, got {m}")
             key = pack_site(_check_coords(x, self.d))
             self.masses[key] = self.masses.get(key, 0.0) + m
 
@@ -189,11 +190,7 @@ class ProcessState:
         self._active = list(self.masses)
         self._active_pos = {key: i for i, key in enumerate(self._active)}
 
-        if isinstance(seed, np.random.SeedSequence):
-            ss = seed
-        else:
-            ss = np.random.SeedSequence(int(seed) & 0xFFFFFFFFFFFFFFFF)
-        rng = np.random.Generator(np.random.Philox(ss))
+        rng = seeded_rng(seed)
         # the stream's uniforms, strictly in order, one Python float a call
         self._uniform = chain.from_iterable(_uniform_chunks(rng)).__next__
         self._events = 0
@@ -373,6 +370,14 @@ class ProcessState:
 def replica_seed(base_seed, r):
     """Stream for replica r: independent of any other replica's stream."""
     return np.random.SeedSequence([int(base_seed) & 0xFFFFFFFFFFFFFFFF, int(r)])
+
+
+def seeded_rng(seed, *tag):
+    """Philox generator on the stream keyed by (seed, *tag); a SeedSequence
+    seed is used as it is."""
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence([int(seed) & 0xFFFFFFFFFFFFFFFF, *tag])
+    return np.random.Generator(np.random.Philox(seed))
 
 
 def _check_coords(x, d):

@@ -51,6 +51,7 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
+from .engine import seeded_rng
 from .kernel import Kernel, kernel_moments, _l1_ball
 from .walk import (WalkSpec, walk_from_kernel, simulate_walk, jump_chain,
                    at_origin, pick_table, DegenerateWalkError)
@@ -437,8 +438,7 @@ def fk3_estimate(kernel: Kernel, initial, t, f, samples, seed,
         return EstimateResult(value=value, standard_error=0.0, samples=0,
                               metadata={"kappa2": kappa2, "horizon": horizon,
                                         "hill_index": math.nan})
-    rng = np.random.Generator(np.random.Philox(
-        np.random.SeedSequence([int(seed) & 0xFFFFFFFFFFFFFFFF, 0x1D3])))
+    rng = seeded_rng(seed, 0x1D3)
     value = 0.0
     var = 0.0
     plain_weights = []
@@ -579,8 +579,7 @@ def fk3_limit_estimate(kernel: Kernel, offset, t, samples, seed, f=None,
     lam = q.sum()
     T = 2.0 * float(t)
     start = np.asarray(offset, dtype=np.int64)
-    rng = np.random.Generator(np.random.Philox(
-        np.random.SeedSequence([int(seed) & 0xFFFFFFFFFFFFFFFF, 0x7117])))
+    rng = seeded_rng(seed, 0x7117)
 
     def rates(xs, e):
         # the tilted rates q(z) h(x+z)/h(x); the Girsanov integrand is
@@ -692,8 +691,7 @@ def pair_chain_histogram(kernel: Kernel, initial, t, samples, seed):
     value at once, with per-pair standard errors; requires nonnegative
     off-diagonal pair rates.
     """
-    rng = np.random.Generator(np.random.Philox(
-        np.random.SeedSequence([int(seed) & 0xFFFFFFFFFFFFFFFF, 0x9A1])))
+    rng = seeded_rng(seed, 0x9A1)
     kappa2 = kernel_moments(kernel).kappa2
     sums = {}
     sqs = {}
@@ -733,7 +731,6 @@ class RelativeMotionReport:
     passed: bool
     cells: int
     samples: int
-    underpowered: bool
     notes: str = ""
 
 
@@ -745,8 +742,7 @@ def relative_motion_check(kernel: Kernel, t, samples, seed,
     negative control)."""
     import scipy.stats
 
-    rng = np.random.Generator(np.random.Philox(
-        np.random.SeedSequence([int(seed) & 0xFFFFFFFFFFFFFFFF, 0x4E1])))
+    rng = seeded_rng(seed, 0x4E1)
     zero = tuple([0] * kernel.d)
     Y, Yt, _ = pair_chain_samples(kernel, (zero, zero), t, samples, rng)
     rel = Y - Yt
@@ -775,9 +771,7 @@ def relative_motion_check(kernel: Kernel, t, samples, seed,
         chi2 = np.nansum((n1 - e1) ** 2 / e1) + np.nansum((n2 - e2) ** 2 / e2)
     dof = max(C - 1, 1)
     p = float(scipy.stats.chi2.sf(chi2, dof))
-    under = C < 2 or min(e1.min(), e2.min()) < 1.0
     return RelativeMotionReport(
         statistic=float(chi2), dof=dof, p_value=p,
         passed=p > significance, cells=C, samples=samples,
-        underpowered=under,
         notes=f"walk horizon factor {walk_time_factor}")

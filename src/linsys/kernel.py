@@ -44,8 +44,9 @@ class KernelError(ValueError):
 
 def _as_offset(x, d):
     t = tuple(int(c) for c in x)
-    if len(t) != d:
-        raise KernelError(f"offset {x!r} does not have dimension {d}")
+    # comparing with x itself rejects fractional coordinates
+    if len(t) != d or t != tuple(x):
+        raise KernelError(f"offset {x!r} is not {d} integers")
     return t
 
 
@@ -73,14 +74,16 @@ class Kernel:
         total_p = 0.0
         for p, vec in atoms:
             p = float(p)
-            if p < -PROB_TOL or p > 1 + PROB_TOL:
+            # "not" around the comparison also rejects NaN
+            if not -PROB_TOL <= p <= 1 + PROB_TOL:
                 raise KernelError(f"atom probability {p} outside [0, 1]")
             total_p += p
             v = {}
             for x, val in dict(vec).items():
                 val = float(val)
-                if val < 0:
-                    raise KernelError(f"negative kernel value {val} at {x}")
+                if not 0 <= val < math.inf:
+                    raise KernelError(f"kernel value {val} at {x} is not "
+                                      "finite and >= 0")
                 if val != 0.0:
                     v[_as_offset(x, self.d)] = val
             canon.append((p, v))
@@ -200,8 +203,8 @@ def make_bcpp_kernel(d, lam):
     """
     if int(d) < 1 or d != int(d):
         raise KernelError(f"d must be a positive integer, got {d}")
-    if not (lam > 0):
-        raise KernelError(f"lambda must be positive, got {lam}")
+    if not 0 < lam < math.inf:
+        raise KernelError(f"lambda must be positive and finite, got {lam}")
     d = int(d)
     denom = 2 * d * lam + 1.0
     zero = tuple([0] * d)

@@ -59,14 +59,16 @@ class CheckResult:
 
 
 def _jsonable(obj):
+    """Plain JSON values; non-finite floats become None (null), since
+    strict JSON has no token for them."""
+    if isinstance(obj, float):  # np.float64 too
+        return obj if math.isfinite(obj) else None
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return _jsonable(obj.tolist())
     return obj
 
 

@@ -240,7 +240,29 @@ def test_cli_fk3(capsys):
     out = json.loads(capsys.readouterr().out)
     assert abs(out["value"] - 1.475) < 0.02
     assert out["standard_error"] > 0
-    assert out["hill_index"] > 0 and "trimmed_value" not in out
+    # the 200 largest weights tie (paths that never leave the origin), so
+    # the index is infinite: no tail seen, written as null
+    assert out["hill_index"] is None and "trimmed_value" not in out
+
+
+def _reject_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+@pytest.mark.parametrize("cfg", [
+    # the README example: paths that never leave the origin tie the largest
+    # weights, so the Hill index is infinite
+    {"bcpp": {"d": 1, "lambda": 1.0}, "t": 0.5, "samples": 200000,
+     "f": "delta0"},
+    # a frozen walk draws no sample, so the index is NaN
+    {"kernel": {"d": 1, "atoms": [{"p": 0.5, "v": []},
+                                  {"p": 0.5, "v": [{"x": [0], "val": 2.0}]}]},
+     "t": 1.0, "samples": 100},
+], ids=["tied-maxima", "frozen-walk"])
+def test_cli_fk3_artifact_is_strict_json(capsys, cfg):
+    assert main(["fk3", json.dumps(cfg)]) == 0
+    out = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert out["hill_index"] is None
 
 
 def test_cli_oracle(capsys):
@@ -295,6 +317,12 @@ def test_cli_verify_cov_site_dimension_mismatch(capsys):
 
 
 BCPP3 = {"bcpp": {"d": 3, "lambda": 1.0}}
+NAN, INF = float("nan"), float("inf")
+
+
+def _kernel1(p=0.75, x=(0,)):
+    return {"kernel": {"d": 1, "atoms": [
+        {"p": 0.25, "v": []}, {"p": p, "v": [{"x": list(x), "val": 1.0}]}]}}
 
 
 @pytest.mark.parametrize("command, bad, key", [
@@ -310,12 +338,49 @@ BCPP3 = {"bcpp": {"d": 3, "lambda": 1.0}}
      "'t_grid_overlap'"),
     ("simulate", {"max_occupied": 0, "replicas": 10}, "'max_occupied'"),
     ("simulate", {"threads": 0, "replicas": 10}, "'threads'"),
+    ("simulate", {"initial": [{"x": ["a"]}], "replicas": 10}, "'initial'"),
+    ("simulate", {"initial": [{"mass": 1}], "replicas": 10}, "'initial'"),
+    ("simulate", {"initial": [{"x": [0.5, 0, 0]}], "t_grid": [0.1],
+                  "replicas": 10}, "'initial'"),
+    ("simulate", {"initial": [{"x": [0, 0, 0], "mass": NAN}],
+                  "t_grid": [0.1], "replicas": 10}, "'initial'"),
+    ("simulate", {"initial": [{"x": [0, 0, 0], "mass": True}],
+                  "t_grid": [0.1], "replicas": 10}, "'initial'"),
+    ("simulate", {"initial": [], "t_grid": [0.1], "replicas": 10},
+     "'initial'"),
+    ("verify-cov", {"tolerances": {"k": "x"}, "t": 1, "samples": 10},
+     "'tolerances'"),
+    ("verify-overlap", {"tolerances": {"slope_window": [1]}, "samples": 100,
+                        "t_grid_overlap": [1, 2]}, "'tolerances'"),
+    ("fk3", {"t": INF, "samples": 10}, "'t'"),
+    ("simulate", {"t_grid": [INF], "replicas": 10}, "'t_grid'"),
+    ("fk3", {"t": True, "samples": 10}, "'t'"),
+    ("green", {"method": "bogus"}, "'method'"),
+    ("criterion", {"resolution": 6}, "'resolution'"),
+    ("verify-cov", {"resolution": 6, "t": 1, "samples": 10}, "'resolution'"),
+    ("green", {"resolution": 6}, "'resolution'"),
+    ("criterion", {"bcpp": {"d": 3, "lambda": "x"}}, "'bcpp'"),
+    ("criterion", {"bcpp": {"d": 3, "lambda": INF}}, "'bcpp'"),
+    ("validate-kernel", _kernel1(x=["a"]), "'kernel'"),
+    ("validate-kernel", _kernel1(x=[0.5]), "'kernel'"),
+    ("validate-kernel", _kernel1(p=NAN), "'kernel'"),
+    ("criterion", {**_kernel1(), **BCPP3}, "'kernel'"),
 ], ids=["fk3-negative-t", "fk3-samples-0", "overlap-samples-0",
         "cov-samples-0", "replicas-0", "negative-t-grid", "resolution-0",
         "negative-box-radius", "negative-overlap-time", "max-occupied-0",
-        "threads-0"])
+        "threads-0", "initial-x-not-integer", "initial-no-x",
+        "initial-x-fractional", "initial-mass-nan", "initial-mass-true",
+        "initial-empty", "tolerance-k-string", "slope-window-one-number",
+        "t-overflow", "t-grid-overflow", "t-true", "method-bogus",
+        "criterion-resolution-6", "cov-resolution-6", "green-resolution-6",
+        "lambda-string", "lambda-overflow", "kernel-x-not-integer",
+        "kernel-x-fractional", "kernel-p-nan", "kernel-and-bcpp"])
 def test_cli_bad_input_exits_2(capsys, command, bad, key):
-    assert main([command, json.dumps({**BCPP3, **bad})]) == 2
+    cfg = bad if "kernel" in bad else {**BCPP3, **bad}
+    # JSON spells an overflowing number 1e400; json.dumps writes inf as
+    # Infinity, which json.loads reads as the same float
+    text = json.dumps(cfg).replace("Infinity", "1e400")
+    assert main([command, text]) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
     err = json.loads(err)
@@ -328,9 +393,13 @@ def test_cli_threads_override_below_one(capsys):
 
 
 def test_parse_accepts_every_default():
-    given = {k: v for k, v in cli._DEFAULTS.items() if v is not None}
-    assert parse_config(json.dumps({**BCPP3, **given})).values == {
-        **cli._DEFAULTS, "initial": [((0, 0, 0), 1.0)]}
+    # every default passes its own check, so giving them all changes nothing
+    given = {key: default(3) if callable(default) else default
+             for key, (_, default, _) in cli._CONFIG.items()
+             if key not in ("bcpp", "kernel")}
+    expected = {**given, "initial": [((0, 0, 0), 1.0)]}
+    assert parse_config(json.dumps({**BCPP3, **given})).values == expected
+    assert parse_config(json.dumps(BCPP3)).values == expected
 
 
 def test_cli_threads_env_not_integer(capsys, monkeypatch):

@@ -56,6 +56,12 @@ def test_init_empty_rejected():
         init_state(BCPP3, [(ORIGIN3, 0.0)], seed=0)
 
 
+@pytest.mark.parametrize("mass", [math.nan, math.inf])
+def test_init_non_finite_mass_rejected(mass):
+    with pytest.raises(EngineError, match="finite"):
+        init_state(BCPP3, [(ORIGIN3, mass)], seed=0)
+
+
 @pytest.mark.parametrize("site", [(0, 0), (0, 0, 0, 0)])
 def test_init_wrong_dimension_rejected(site):
     with pytest.raises(EngineError, match="dimension"):

@@ -61,6 +61,27 @@ def test_negative_value_rejected():
         Kernel(1, [(1.0, {(0,): -0.5})])
 
 
+def test_nan_probability_rejected():
+    with pytest.raises(KernelError, match="probability"):
+        Kernel(1, [(math.nan, {}), (1.0, {(0,): 1.0})])
+
+
+@pytest.mark.parametrize("val", [math.nan, math.inf])
+def test_non_finite_value_rejected(val):
+    with pytest.raises(KernelError, match="finite"):
+        Kernel(1, [(1.0, {(0,): val})])
+
+
+def test_non_integral_offset_rejected():
+    with pytest.raises(KernelError, match="integers"):
+        Kernel(1, [(1.0, {(0.5,): 1.0})])
+
+
+def test_bcpp_infinite_lambda_rejected():
+    with pytest.raises(KernelError, match="finite"):
+        make_bcpp_kernel(3, math.inf)
+
+
 def test_zero_values_dropped_and_equality():
     a = Kernel(2, [(1.0, {(0, 0): 1.0, (1, 0): 0.0})])
     b = Kernel(2, [(1.0, {(0, 0): 1.0})])
