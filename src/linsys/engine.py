@@ -384,6 +384,9 @@ def _check_coords(x, d):
     t = tuple(int(c) for c in x)
     if len(t) != d:
         raise EngineError(f"site {x} has dimension {len(t)}, kernel has {d}")
+    # comparing with x itself rejects fractional coordinates
+    if t != tuple(x):
+        raise EngineError(f"site {x} has a non-integer coordinate")
     if any(abs(c) >= _OFF - 64 for c in t):
         raise EngineError(f"site {x} outside supported coordinate range")
     return t

@@ -54,7 +54,8 @@ import scipy.sparse.linalg
 from .engine import seeded_rng
 from .kernel import Kernel, kernel_moments, _l1_ball
 from .walk import (WalkSpec, walk_from_kernel, simulate_walk, jump_chain,
-                   at_origin, pick_table, DegenerateWalkError)
+                   at_origin, pick_table, pick_step, h_of_x,
+                   DegenerateWalkError)
 
 
 class FeynmanKacError(RuntimeError):
@@ -479,9 +480,13 @@ class _HFieldCache:
     G(x) ~ 1/(4 pi sqrt(det A) sqrt(x' A^-1 x)) with A the diffusion
     matrix of the walk.  Only estimator variance depends on the quality
     of this field; the importance weights are exact for any field.
+
+    The quadrature that calibrates the box also evaluates G at the extra
+    ``offsets``: ``h_values`` holds the exact h at every quadrature
+    offset, as ``walk.h_of_x`` computes it.
     """
 
-    def __init__(self, walk: WalkSpec, radius=40):
+    def __init__(self, walk: WalkSpec, radius=40, offsets=()):
         from . import walk as walk_mod
 
         if walk.d < 3:
@@ -490,15 +495,18 @@ class _HFieldCache:
         self.d = d = walk.d
         self.radius = R = int(radius)
         refs = [tuple([0] * d), (1,) + (0,) * (d - 1), (3,) + (0,) * (d - 1)]
-        qtab = walk_mod.green(walk, offsets=refs)
+        qtab = walk_mod.green(walk, offsets=refs + list(offsets))
+        if qtab.criterion_value >= 1.0:
+            raise walk_mod.DivergentHError(
+                f"criterion value {qtab.criterion_value} >= 1: "
+                "exponential moment diverges")
+        self.h_values = qtab.h_values
         gbox = walk_mod.green_box(walk, R)
         deficit = float(np.mean([qtab.values[x] - gbox[tuple(c + R for c in x)]
                                  for x in refs]))
         gbox = gbox + deficit
         self.g0 = qtab.g0
         denom = 2.0 - self.kappa2 * self.g0
-        if denom <= 0:
-            raise FeynmanKacError("survival criterion fails: h diverges")
         A = np.zeros((d, d))
         for z, q in walk.rates.items():
             za = np.asarray(z, dtype=float)
@@ -546,13 +554,34 @@ class _HFieldCache:
 _H_FIELDS = {}
 
 
-def _h_field(walk: WalkSpec, radius=40):
+def _h_field(walk: WalkSpec, radius=40, offsets=()):
+    """The cached field of the walk; a new one also evaluates h at
+    ``offsets``."""
     key = (walk.d, tuple(sorted(walk.rates.items())), walk.kappa2, int(radius))
     field = _H_FIELDS.get(key)
     if field is None:
-        field = _HFieldCache(walk, radius)
+        field = _HFieldCache(walk, radius, offsets)
         _H_FIELDS[key] = field
     return field
+
+
+def limit_reference(kernel: Kernel, offset, resolution=None):
+    """h(offset) = 1 + kappa_2 G(offset)/(2 - kappa_2 G(0)), the value
+    `fk3_limit_estimate` from ``offset`` tends to as t -> infinity.
+
+    Equal to ``walk.h_of_x`` bit for bit, errors included.  At the
+    default resolution it is read from the quadrature that builds the
+    estimator's h-field, so one Green quadrature serves both; another
+    resolution, or a field cached before without this offset, costs a
+    second one.
+    """
+    offset = tuple(offset)
+    if (resolution is None and kernel.d >= 3
+            and kernel_moments(kernel).kappa2 > 0.0):
+        field = _h_field(walk_from_kernel(kernel), offsets=[offset])
+        if offset in field.h_values:
+            return field.h_values[offset]
+    return h_of_x(kernel, [offset], resolution=resolution)[offset]
 
 
 def fk3_limit_estimate(kernel: Kernel, offset, t, samples, seed, f=None,
@@ -672,8 +701,8 @@ def pair_chain_samples(kernel: Kernel, start_pair, t, samples, rng,
         # a path whose group has no jumps (all of them, for a kernel that
         # moves no mass) never steps: its hold is inf
         def pick(u):
-            return np.where(diag, np.searchsorted(tab.diag_cum, u),
-                            tab.n_diag + np.searchsorted(tab.off_cum, u))
+            return np.where(diag, pick_step(tab.diag_cum, u),
+                            tab.n_diag + pick_step(tab.off_cum, u))
         return diag, hold, None, pick
 
     out = list(jump_chain(np.concatenate([y0, yt0]), tab.jumps, T, samples,

@@ -274,13 +274,20 @@ def overlap_decay_check(kernel: Kernel, t_grid, samples, seed,
     scaled_se = ses * tg ** (d / 2.0)
     bound_ok = bool(np.all(scaled <= slack * scaled[0]
                            + k * (scaled_se + slack * scaled_se[0])))
-    slope = float(np.polyfit(np.log(tg), np.log(vals), 1)[0])
+    notes = {"t_grid": list(t_grid), "values": vals, "ses": ses,
+             "scaled": scaled, "slack": slack, "bound_ok": bound_ok,
+             "operationalization": "bounded scaled values + slope window"}
+    if np.any(vals <= 0.0):
+        # too few samples: no path ended at the origin at these times, so
+        # log D(t) and the slope are undefined and the check fails
+        notes["zero_estimate_at"] = tg[vals <= 0.0].tolist()
+        slope = math.nan
+    else:
+        slope = float(np.polyfit(np.log(tg), np.log(vals), 1)[0])
     lo, hi = slope_window
     res = CheckResult.evaluate(
         "overlap_decay", slope, 0.5 * (lo + hi), 0.5 * (hi - lo), 0.0, k=0.0,
-        notes={"t_grid": list(t_grid), "values": vals, "ses": ses,
-               "scaled": scaled, "slack": slack, "bound_ok": bound_ok,
-               "operationalization": "bounded scaled values + slope window"})
+        notes=notes)
     res.passed = res.passed and bound_ok
     return res
 
@@ -301,7 +308,7 @@ def covariance_limit_check(kernel: Kernel, a, b, t, samples, seed,
     t (mutual consistency; the closed-form comparison is driven by the
     walk path, the only one that can reach large t)."""
     w0 = tuple(int(x) - int(y) for x, y in zip(a, b))
-    ref = walk_mod.h_of_x(kernel, [w0], resolution=resolution)[w0]
+    ref = fk.limit_reference(kernel, w0, resolution=resolution)
     est = fk.fk3_limit_estimate(kernel, w0, t, samples, seed)
     res = CheckResult.evaluate(f"covariance|a-b|={sum(map(abs, w0))}",
                                est.value, ref, rel_tol * ref,

@@ -249,7 +249,8 @@ def green(walk: WalkSpec, offsets=None, method="fourier_quadrature",
         if len(x) != walk.d:
             raise WalkError(f"offset {list(x)} has dimension {len(x)}, "
                             f"walk has {walk.d}")
-    want = [zero] + [x for x in offsets if x != zero]
+    # each offset once: the quadrature adds one level sum per listed offset
+    want = list(dict.fromkeys([zero] + offsets))
 
     if method == "fourier_quadrature":
         n = resolution or (64 if walk.d == 3 else 32)
@@ -345,11 +346,22 @@ def at_origin(xs):
 
 def pick_table(rates):
     """Normalized cumulative rates, ending at exactly 1.0, so that
-    ``np.searchsorted`` maps every uniform in [0, 1) to a step index."""
+    `pick_step` maps every uniform in [0, 1) to a step index."""
     rates = np.asarray(rates, dtype=float)
     cum = np.cumsum(rates / rates.sum())
     cum[-1:] = 1.0   # no-op for an empty table
     return cum
+
+
+def pick_step(cum, u):
+    """Step indices of the uniforms u in a `pick_table`: the count of
+    entries below each u.  That is ``np.searchsorted(cum, u)`` for every
+    u, ties included, at a fraction of its cost on a table of a few
+    entries."""
+    idx = np.zeros(len(u), dtype=np.intp)
+    for c in cum:
+        idx += u > c
+    return idx
 
 
 def jump_chain(start, steps, horizon, samples, rng, rates, batch):
@@ -357,40 +369,57 @@ def jump_chain(start, steps, horizon, samples, rng, rates, batch):
 
     Paths start at the integer point `start`, are held as one int64 array
     per coordinate and move by the rows of `steps`.  Once per iteration
-    ``rates(xs, e)`` maps a batch's coordinate arrays and its unit
+    ``rates(xs, e)`` maps the live paths' coordinate arrays and their unit
     exponentials e to (special, hold, drift, pick): the mask of the paths
     on the chain's special set, the holding times, an integrand to sum
-    along each path up to the horizon (or None), and a function from
-    uniforms to step indices.  Each batch draws one exponential per path
-    and iteration, then one uniform while some path is alive; finished
-    paths take a zero step.  Yields per batch the coordinate arrays at
-    the horizon, the exact time spent on the special set and the
-    integrals of the drift.
+    along each path up to the horizon (or None), and a function from the
+    same paths' uniforms to step indices.
+
+    Stream contract: a batch of b paths draws b exponentials per
+    iteration, then b uniforms while some path is alive, and path i of
+    the batch reads entry i of each draw.  The work is compacted: the
+    live paths fill the front of the batch's arrays, and a path that
+    passes the horizon swaps places with a live one from behind them, so
+    its final row is kept and no later iteration touches it.  Yields per
+    batch, in path order, the coordinate arrays at the horizon, the exact
+    time spent on the special set and the integrals of the drift.
     """
+    if samples < 1:
+        raise WalkError(f"samples must be at least 1, got {samples}")
     steps = np.asarray(steps, dtype=np.int64)
-    moves = [np.append(col, 0) for col in steps.T]
-    stop = len(steps)
+    moves = list(steps.T)
     done = 0
     while done < samples:
         b = min(batch, samples - done)
         xs = [np.full(b, c) for c in start]
-        t = np.zeros(b)
-        loc = np.zeros(b)
-        acc = np.zeros(b)
-        alive = np.ones(b, dtype=bool)
+        t, loc, acc = np.zeros(b), np.zeros(b), np.zeros(b)
+        rows = np.arange(b)   # the batch index of the path in each slot
+        n = b                 # the paths in slots [0, n) are alive
         while True:
-            special, hold, drift, pick = rates(xs, rng.exponential(1.0, b))
-            dt = np.minimum(hold, horizon - t)
-            loc += np.where(alive & special, dt, 0.0)
+            e = rng.exponential(1.0, b).take(rows[:n])
+            special, hold, drift, pick = rates([x[:n] for x in xs], e)
+            dt = np.minimum(hold, horizon - t[:n])
+            loc[:n] += np.where(special, dt, 0.0)
             if drift is not None:
-                acc += np.where(alive, drift * dt, 0.0)
-            t = t + hold
-            alive = t < horizon
-            if not alive.any():
+                acc[:n] += drift * dt
+            t[:n] += hold
+            alive = t[:n] < horizon
+            k = np.count_nonzero(alive)
+            if k == 0:
                 break
-            idx = np.where(alive, pick(rng.random(b)), stop)
+            idx = pick(rng.random(b).take(rows[:n]))
+            if k < n:
+                # finished paths swap places with live ones from [k, n);
+                # pick has run, since its arrays cover slots [0, n)
+                holes = np.flatnonzero(~alive[:k])
+                movers = k + np.flatnonzero(alive[k:])
+                for a in (*xs, t, loc, acc, rows, idx):
+                    a[holes], a[movers] = a[movers], a[holes]
+                n, idx = k, idx[:k]
             for x, m in zip(xs, moves):
-                x += m.take(idx)
+                x[:n] += m.take(idx)
+        for a in (*xs, loc, acc):
+            a[rows] = a.copy()
         yield xs, loc, acc
         done += b
 
@@ -408,12 +437,9 @@ def simulate_walk(walk: WalkSpec, start, horizon, samples, rng,
     cum = pick_table([walk.rates[z] for z in steps])
     scale = 1.0 / walk.total_rate
 
-    def pick(u):
-        return np.searchsorted(cum, u)
-
     def rates(xs, e):
         # exponential(1.0) * scale is exponential(scale), bit for bit
-        return at_origin(xs), e * scale, None, pick
+        return at_origin(xs), e * scale, None, lambda u: pick_step(cum, u)
 
     out = list(jump_chain(np.asarray(start, dtype=np.int64), steps, horizon,
                           samples, rng, rates, batch))

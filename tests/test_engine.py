@@ -70,6 +70,14 @@ def test_init_wrong_dimension_rejected(site):
         init_state(BCPP3, [(ORIGIN3, 1.0), (site, 1.0)], dual=True, seed=0)
 
 
+@pytest.mark.parametrize("site", [(0.5, 0, 0), (0, 0, -1.25)])
+def test_init_fractional_site_rejected(site):
+    with pytest.raises(EngineError, match="non-integer"):
+        init_state(BCPP3, [(site, 1.0)], seed=0)
+    with pytest.raises(EngineError, match="non-integer"):
+        init_state(BCPP3, [(ORIGIN3, 1.0), (site, 1.0)], dual=True, seed=0)
+
+
 def test_replay_determinism():
     # identical inputs and the same advance sequence replay bit-identically
     a = init_state(BCPP3, [(ORIGIN3, 1.0)], seed=123)

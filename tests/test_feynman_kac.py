@@ -7,7 +7,7 @@ import pytest
 from linsys.engine import init_state, unpack_site
 from linsys.kernel import Kernel, kernel_moments, make_bcpp_kernel, validate_kernel
 from linsys import feynman_kac as fk
-from linsys.walk import walk_from_kernel
+from linsys.walk import WalkError, simulate_walk, walk_from_kernel
 from conftest import diagonal_step_kernel, random_single_offset_kernel
 
 BCPP1 = make_bcpp_kernel(1, 1.0)
@@ -511,6 +511,82 @@ def test_pair_chain_samples_golden(kernel, start_pair, t, samples, seed,
     assert Y.dtype == Yt.dtype == np.int64
     got = hashlib.sha256(Y.tobytes() + Yt.tobytes() + loc.tobytes())
     assert got.hexdigest() == digest
+
+
+# -- the stream contract -------------------------------------------------------
+#
+# Where the generator stands after a run, as (Philox counter, buffer
+# position), recorded with the loop that stepped every path of a batch to
+# the end.  A batch of b paths draws b exponentials per iteration and b
+# uniforms while some path is alive, however few; the positions pin that.
+
+
+def _stream_position(rng):
+    state = rng.bit_generator.state
+    return state["state"]["counter"].tolist(), state["buffer_pos"]
+
+
+def _walk_run(kernel, start, horizon, samples, batch):
+    return lambda rng: simulate_walk(walk_from_kernel(kernel), start, horizon,
+                                     samples, rng, batch=batch)
+
+
+def _pair_run(kernel, start_pair, t, samples, batch):
+    return lambda rng: fk.pair_chain_samples(kernel, start_pair, t, samples,
+                                             rng, batch=batch)
+
+
+@pytest.mark.parametrize("run,seed,position", [
+    (_walk_run(BCPP3, (0, 0, 0), 30.0, 5000, 200_000), 46,
+     ([130916, 0, 0, 0], 1)),
+    (_walk_run(DIAG3, (2, -1, 0), 12.0, 3000, 1100), 47, ([34319, 0, 0, 0], 1)),
+    (_pair_run(BCPP1, ((0,), (0,)), 2.0, 3000, 200_000), 51,
+     ([17550, 0, 0, 0], 3)),
+    (_pair_run(BCPP3, ((0, 0, 0), (1, 0, 0)), 1.5, 2500, 900), 52,
+     ([11985, 0, 0, 0], 3)),
+], ids=["walk-bcpp3", "walk-diagonal-batched", "pair-bcpp1",
+        "pair-bcpp3-batched"])
+def test_stream_position_after_run(run, seed, position):
+    rng = np.random.Generator(np.random.Philox(seed))
+    run(rng)
+    assert _stream_position(rng) == position
+
+
+@pytest.mark.parametrize("run,seed,batches,position", [
+    # every path finishes in its first hold, so no uniform is drawn
+    (_walk_run(BCPP3, (0, 0, 0), 1e-6, 4000, 1500), 48, [1500, 1500, 1000],
+     ([1038, 0, 0, 0], 2)),
+    # the pair never jumps: every hold is infinite
+    (_pair_run(Kernel(2, [(1.0, {(0, 0): 1.0})]), ((0, 0), (1, 0)), 1.5, 7, 3),
+     53, [3, 3, 1], ([2, 0, 0, 0], 3)),
+], ids=["walk-first-hold", "pair-without-jumps"])
+def test_stream_draws_one_exponential_per_path(run, seed, batches, position):
+    rng = np.random.Generator(np.random.Philox(seed))
+    run(rng)
+    ref = np.random.Generator(np.random.Philox(seed))
+    for b in batches:
+        ref.exponential(1.0, b)
+    assert _stream_position(rng) == _stream_position(ref) == position
+
+
+@pytest.mark.parametrize("kernel,offset,t,samples,seed,f,batch,position", [
+    (BCPP3, (0, 0, 0), 20.0, 2000, 42, fk.f_delta0, 50_000,
+     ([59492, 0, 0, 0], 4)),
+    (DIAG3, (1, 0, 0), 30.0, 300, 43, None, 120, ([11136, 0, 0, 0], 1)),
+], ids=["bcpp3-delta0", "diagonal-batched"])
+def test_limit_estimate_stream_position(monkeypatch, kernel, offset, t,
+                                        samples, seed, f, batch, position):
+    made = []
+    seeded = fk.seeded_rng
+    monkeypatch.setattr(fk, "seeded_rng",
+                        lambda *a: made.append(seeded(*a)) or made[-1])
+    fk.fk3_limit_estimate(kernel, offset, t, samples, seed, f=f, batch=batch)
+    assert _stream_position(made[0]) == position
+
+
+def test_limit_estimate_rejects_no_samples():
+    with pytest.raises(WalkError, match="samples"):
+        fk.fk3_limit_estimate(BCPP3, (0, 0, 0), 1.0, 0, seed=1)
 
 
 def test_plain_estimate_golden():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from linsys.engine import run_ensemble
 from linsys.kernel import Kernel, kernel_moments, make_bcpp_kernel
 from linsys import feynman_kac as fk
 from linsys import stats
+from linsys import walk as walk_mod
 from linsys.walk import h_of_x
 from conftest import _cached
 
@@ -137,6 +139,19 @@ def test_overlap_decay_heat_kernel_control():
     assert -1.75 < res.observed < -1.25
 
 
+def test_overlap_decay_zero_estimate_names_times():
+    # at 2,000 samples no path ends at the origin at t = 40: the check
+    # fails and says where, without numpy's divide-by-zero warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = stats.overlap_decay_check(BCPP3, [5.0, 10.0, 20.0, 40.0],
+                                        2_000, seed=1)
+    assert res.notes["values"][-1] == 0.0 < min(res.notes["values"][:-1])
+    assert not res.passed and math.isnan(res.observed)
+    assert (res.reference, res.tolerance) == (-1.6, 0.4)
+    assert res.notes["zero_estimate_at"] == [40.0]
+
+
 def test_overlap_decay_bcpp():
     res = stats.overlap_decay_check(BCPP3, [5.0, 10.0, 20.0, 40.0],
                                     200_000, seed=6)
@@ -151,6 +166,25 @@ def test_covariance_check_tilted_moderate_t():
                                        20_000, seed=7, rel_tol=0.25)
     assert res.passed
     assert abs(res.reference - 8.663) < 2e-2
+
+
+def test_covariance_check_runs_one_quadrature(monkeypatch):
+    # the reference h(a-b) comes from the quadrature that builds the
+    # h-field, bit for bit the value of its own pass
+    calls = []
+    green = walk_mod.green
+    monkeypatch.setattr(walk_mod, "green",
+                        lambda *a, **kw: calls.append(a) or green(*a, **kw))
+    monkeypatch.setattr(fk, "_H_FIELDS", {})
+    res = stats.covariance_limit_check(BCPP3, (5, 0, 0), ORIGIN3, 20.0, 200,
+                                       seed=7)
+    assert len(calls) == 1
+    assert res.reference == h_of_x(BCPP3, [(5, 0, 0)])[(5, 0, 0)]
+    # a field cached without the offset costs a second quadrature
+    res = stats.covariance_limit_check(BCPP3, (2, 1, 0), ORIGIN3, 20.0, 200,
+                                       seed=7)
+    assert len(calls) == 3
+    assert res.reference == h_of_x(BCPP3, [(2, 1, 0)])[(2, 1, 0)]
 
 
 def test_covariance_check_paths_agree(small_ensemble):

@@ -7,11 +7,13 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from linsys.kernel import Kernel, make_bcpp_kernel
+from linsys import feynman_kac as fk
 from linsys.walk import (DegenerateWalkError, DivergentHError,
                          RecurrentDimensionError, WalkError, WalkSpec,
                          bcpp_critical_lambda, green, green_box, h_of_x,
-                         return_probability, simple_walk, simulate_walk,
-                         survival_criterion, walk_from_kernel)
+                         pick_step, pick_table, return_probability,
+                         simple_walk, simulate_walk, survival_criterion,
+                         walk_from_kernel)
 
 from conftest import diagonal_step_kernel
 
@@ -202,6 +204,12 @@ def test_green_rejects_bad_offsets():
         green(w, offsets=[(7, 0, 0)], method="truncated_solve", resolution=6)
 
 
+def test_green_counts_a_repeated_offset_once():
+    w = walk_from_kernel(make_bcpp_kernel(3, 1.0))
+    once = green(w, offsets=[(1, 0, 0)]).values
+    assert green(w, offsets=[(1, 0, 0), (0, 0, 0), (1, 0, 0)]).values == once
+
+
 def test_survival_criterion_bcpp():
     value, ok = survival_criterion(make_bcpp_kernel(3, 1.0))
     assert ok and abs(value - 0.8846) < 5e-4
@@ -278,3 +286,33 @@ def test_simulate_walk_golden(kernel, start, horizon, samples, seed, batch,
                              samples, rng, batch=batch)
     assert pos.shape == (samples, 3) and pos.dtype == np.int64
     assert hashlib.sha256(pos.tobytes() + loc.tobytes()).hexdigest() == digest
+
+
+def test_simulate_walk_rejects_no_samples():
+    w = walk_from_kernel(make_bcpp_kernel(3, 1.0))
+    with pytest.raises(WalkError, match="samples"):
+        simulate_walk(w, (0, 0, 0), 1.0, 0, np.random.default_rng(0))
+
+
+def _pair_tables(kernel):
+    tab = fk._PairChainTables(kernel)
+    return tab.diag_cum, tab.off_cum
+
+
+def _walk_table(kernel):
+    w = walk_from_kernel(kernel)
+    return pick_table([w.rates[z] for z in sorted(w.rates)])
+
+
+@pytest.mark.parametrize("cum", [
+    _walk_table(make_bcpp_kernel(3, 1.0)),
+    _walk_table(diagonal_step_kernel()),
+    *_pair_tables(make_bcpp_kernel(3, 1.0)),
+], ids=["bcpp3", "diagonal", "pair-diagonal", "pair-off-diagonal"])
+def test_pick_step_matches_searchsorted(cum):
+    u = np.random.default_rng(5).random(1_000_000)
+    # every entry and its neighbours on both sides: ties go to the entry
+    edges = np.concatenate([cum, np.nextafter(cum, 0.0),
+                            np.nextafter(cum, 2.0), [0.0]])
+    for v in (u, edges):
+        assert np.array_equal(pick_step(cum, v), np.searchsorted(cum, v))
