@@ -20,7 +20,6 @@ import re
 import sys
 
 import numpy as np
-import scipy
 
 from . import engine, feynman_kac as fk, stats, walk as walk_mod
 from .kernel import Kernel, KernelError, validate_kernel
@@ -266,6 +265,7 @@ def _emit_diagnostics(cfg, summary):
     are as deterministic as the payload's."""
     path = _out_path(cfg, "diagnostics.json")
     if path:
+        import scipy  # the top level only: no submodule loads
         _emit({"events": summary.diagnostics["events"],
                "truncated": summary.truncated,
                "numpy": np.__version__, "scipy": scipy.__version__}, path)

@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
 
@@ -582,6 +581,7 @@ def run_ensemble(kernel: Kernel, initial, t_grid, replicas, base_seed,
     args = [(kern_dict, list(initial), t_grid, dual, base_seed, lo, hi,
              max_occupied, battery) for lo, hi in jobs]
     if threads > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=threads) as ex:
             parts = list(ex.map(_run_replicas_star, args))
     else:

@@ -48,14 +48,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .engine import seeded_rng
 from .kernel import Kernel, kernel_moments, _l1_ball
 from .walk import (WalkSpec, walk_from_kernel, simulate_walk, jump_chain,
                    at_origin, pick_table, pick_step, h_of_x,
-                   DegenerateWalkError)
+                   DegenerateWalkError, WalkError)
 
 
 class FeynmanKacError(RuntimeError):
@@ -211,6 +209,8 @@ def _box_generator(walk: WalkSpec, R, potential=0.0):
     (x, x + z) when x + z lies in the box, and -total_rate + potential(x)
     on the diagonal (``potential`` is a scalar or one value per site).
     """
+    import scipy.sparse
+
     M = (2 * R + 1) ** walk.d
     rows, cols = [np.arange(M)], [np.arange(M)]
     vals = [np.broadcast_to(potential - walk.total_rate, (M,))]
@@ -240,6 +240,8 @@ def _pair_generator(table: GammaTable, R):
     the cross and joint-move terms of ``table.near_rates`` are added on
     top, only at the pair offsets w where they live.
     """
+    import scipy.sparse
+
     d = table.d
     L = _box_generator(_one_point_walk(table.kernel), R, table.kappa1)
     M = L.shape[0]
@@ -262,6 +264,8 @@ def _pair_generator(table: GammaTable, R):
 
 def _integrate(A, y0, times):
     """exp(t A) y0 at each of the non-decreasing times, one expm_multiply per interval."""
+    import scipy.sparse.linalg
+
     t, y, out = 0.0, np.asarray(y0, dtype=float), []
     for T in times:
         if T < t:
@@ -596,6 +600,9 @@ def fk3_limit_estimate(kernel: Kernel, offset, t, samples, seed, f=None,
     effective sample size (sum w)^2 / sum w^2 (Kong 1992) and the largest
     weight's share of sum w.
     """
+    # checked before the h-field build, which a bad count would waste
+    if samples < 1:
+        raise WalkError(f"samples must be at least 1, got {samples}")
     walk = walk_from_kernel(kernel)
     field = _h_field(walk)
     beta = 0.5 * walk.kappa2

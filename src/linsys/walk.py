@@ -31,8 +31,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft
-import scipy.sparse.linalg
 
 from .kernel import Kernel, kernel_moments
 
@@ -190,6 +188,9 @@ def green_box(walk: WalkSpec, radius):
     Green value on the boundary (a nearly constant deficit ~ 1/R for
     d = 3), which callers can correct against quadrature references.
     """
+    import scipy.fft
+    import scipy.sparse.linalg
+
     if walk.d <= 2:
         raise RecurrentDimensionError("green_box requires d >= 3")
     d, R = walk.d, int(radius)

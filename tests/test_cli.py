@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy
 import pytest
@@ -220,6 +222,49 @@ def test_cli_simulate_csv_cells_are_numbers(tmp_path):
     assert len(rows) == 40
     values = [[float(v) for v in row] for row in rows]  # "np.float64(..)" raises
     assert any(v != 0.0 for row in values for v in row[7:])  # moment columns
+
+
+# the subcommands that never call scipy's numerical submodules, with tiny
+# configs; simulate writes diagnostics.json, which names scipy's version
+_SCIPY_FREE_RUNS = [
+    ("simulate", {"t_grid": [0.5], "replicas": 20}),
+    ("verify-clt", {"t_grid": [0.5, 1.0], "replicas": 50}),
+    ("fk3", {"bcpp": {"d": 1, "lambda": 1.0}, "t": 0.5, "samples": 1000}),
+    ("verify-overlap", {"t_grid_overlap": [1, 2], "samples": 2000}),
+    ("criterion", {}),
+    ("green", {"offsets": [[1, 0, 0]], "method": "fourier_quadrature"}),
+]
+
+_IMPORT_GUARD = """
+import json, os, sys, tempfile
+sys.path.insert(0, sys.argv[1])
+import linsys
+from linsys import cli
+runs = json.loads(sys.argv[2])
+codes = []
+with tempfile.TemporaryDirectory() as out:
+    for i, (command, cfg) in enumerate(runs):
+        codes.append(cli.main([command, json.dumps(cfg), "--threads", "1",
+                               "--output-dir", os.path.join(out, str(i))]))
+heavy = ["scipy.fft", "scipy.sparse", "scipy.integrate", "scipy.optimize",
+         "scipy.special", "scipy.stats"]
+print(json.dumps({"codes": codes,
+                  "loaded": [m for m in heavy if m in sys.modules]}))
+"""
+
+
+def test_scipy_free_subcommands_load_no_scipy_submodule():
+    # a fresh interpreter, so modules imported by other tests do not count
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "src")
+    runs = [(command, {"bcpp": {"d": 3, "lambda": 1.0}, "seed": 1, **cfg})
+            for command, cfg in _SCIPY_FREE_RUNS]
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_GUARD, src,
+                           json.dumps(runs)],
+                          capture_output=True, text=True, check=True)
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert all(code in (0, 1) for code in result["codes"]), result
+    assert result["loaded"] == []
 
 
 def test_cli_seed_override(capsys):

@@ -584,9 +584,12 @@ def test_limit_estimate_stream_position(monkeypatch, kernel, offset, t,
     assert _stream_position(made[0]) == position
 
 
-def test_limit_estimate_rejects_no_samples():
+def test_limit_estimate_rejects_no_samples(monkeypatch):
+    # rejected before the h-field is built and cached
+    monkeypatch.setattr(fk, "_H_FIELDS", {})
     with pytest.raises(WalkError, match="samples"):
         fk.fk3_limit_estimate(BCPP3, (0, 0, 0), 1.0, 0, seed=1)
+    assert fk._H_FIELDS == {}
 
 
 def test_plain_estimate_golden():

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.special import erfc
+import scipy.integrate
 
 from linsys.engine import run_ensemble
 from linsys.kernel import Kernel, kernel_moments, make_bcpp_kernel
@@ -17,29 +17,29 @@ BCPP3 = make_bcpp_kernel(3, 1.0)
 ORIGIN3 = (0, 0, 0)
 
 
-def _norm_cdf_tail(thr, sigma):
-    return 0.5 * erfc(thr / (sigma * math.sqrt(2.0)))
-
-
 def test_gaussian_references_match_closed_forms():
-    # quadrature references vs analytic formulas, 1e-8 (self-test)
+    # the library's closed forms vs 1-d quadrature against the Gaussian
+    # density, 1e-8 (two independent routes)
     mom = kernel_moments(BCPP3)
     var = mom.gaussian_cov[0, 0]
     sigma = math.sqrt(var)
+
+    def pdf(z):
+        return math.exp(-0.5 * (z / sigma) ** 2) / (sigma * math.sqrt(2 * math.pi))
+
     refs = stats.battery_references(BCPP3)
     for name, kind, params in stats.battery_table(BCPP3):
         if kind == "halfspace":
-            closed = _norm_cdf_tail(params["thr"], sigma)
+            quad, _ = scipy.integrate.quad(pdf, params["thr"], 40 * sigma)
         elif kind == "cos":
-            closed = math.exp(-0.5 * params["freq"] ** 2 * var)
+            quad, _ = scipy.integrate.quad(
+                lambda z: math.cos(params["freq"] * z) * pdf(z),
+                -40 * sigma, 40 * sigma, limit=200)
         else:  # clipped quadratic
-            a = math.sqrt(params["clip"])
-            al = a / sigma
-            phi = math.exp(-0.5 * al * al) / math.sqrt(2 * math.pi)
-            cdf2 = 1.0 - erfc(al / math.sqrt(2.0))  # P(|Z| <= a)/1 for std
-            closed = (var * (cdf2 - 2 * al * phi)
-                      + params["clip"] * erfc(al / math.sqrt(2.0)))
-        assert abs(refs[name] - closed) < 1e-8, name
+            quad, _ = scipy.integrate.quad(
+                lambda z: min(z * z, params["clip"]) * pdf(z),
+                -40 * sigma, 40 * sigma, limit=200)
+        assert abs(refs[name] - quad) < 1e-8, name
 
 
 def test_battery_functions_shapes():
@@ -239,3 +239,11 @@ def test_covariance_cross_check_flags_truncated_ensemble(truncated_ensemble):
     ens = res.notes["ensemble"]
     assert ens["truncated"] == truncated_ensemble.truncated
     assert ens["agree"] is False
+    assert not res.passed
+    # with the closed-form comparison inside its tolerance, the failed
+    # cross-check alone fails the check
+    wide = stats.covariance_limit_check(BCPP3, ORIGIN3, ORIGIN3, 20.0, 500,
+                                        seed=8, rel_tol=1.0,
+                                        summary=truncated_ensemble)
+    assert abs(wide.observed - wide.reference) <= wide.tolerance
+    assert not wide.passed
