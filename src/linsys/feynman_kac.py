@@ -52,7 +52,7 @@ import numpy as np
 from .engine import seeded_rng
 from .kernel import Kernel, kernel_moments, _l1_ball
 from .walk import (WalkSpec, walk_from_kernel, simulate_walk, jump_chain,
-                   at_origin, pick_table, pick_step, h_of_x,
+                   at_origin, pick_table, pick_step,
                    DegenerateWalkError, WalkError)
 
 
@@ -224,12 +224,13 @@ def _box_generator(walk: WalkSpec, R, potential=0.0):
         shape=(M, M))
 
 
-def _one_point_walk(kernel: Kernel) -> WalkSpec:
+def _box_walk(kernel: Kernel, symmetrized=True) -> WalkSpec:
     try:
-        return walk_from_kernel(kernel, symmetrized=False)
+        return walk_from_kernel(kernel, symmetrized)
     except DegenerateWalkError:
         # no mass moves between sites: the generator is its diagonal
-        return WalkSpec(d=kernel.d, rates={}, total_rate=0.0)
+        return WalkSpec(d=kernel.d, rates={}, total_rate=0.0,
+                        kappa2=kernel_moments(kernel).kappa2)
 
 
 def _pair_generator(table: GammaTable, R):
@@ -243,7 +244,8 @@ def _pair_generator(table: GammaTable, R):
     import scipy.sparse
 
     d = table.d
-    L = _box_generator(_one_point_walk(table.kernel), R, table.kappa1)
+    L = _box_generator(_box_walk(table.kernel, symmetrized=False), R,
+                       table.kappa1)
     M = L.shape[0]
     pairs = np.arange(M)
     rows, cols, vals = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], [np.zeros(0)]
@@ -331,14 +333,13 @@ def one_point_profile(kernel: Kernel, initial, t, radius):
     v0 = np.zeros(len(sites))
     for x, m in initial:
         v0[index[tuple(x)]] += float(m)
-    A = _box_generator(_one_point_walk(kernel), R)
+    A = _box_generator(_box_walk(kernel, symmetrized=False), R)
     v = _integrate(A, v0, [float(t)])[0]
     scale = math.exp(kernel_moments(kernel).kappa1 * float(t))
     return {s: scale * float(v[i]) for s, i in index.items()}
 
 
-def exp_local_time_moment(kernel: Kernel, t, radius=None, start=None,
-                          f=None) -> float:
+def exp_local_time_moment(kernel: Kernel, t, start=None, f=None) -> float:
     """Exact E_S^start[exp(kappa_2/2 * local time at 0 up to 2t) f(S_2t)].
 
     Deterministic Schrodinger-semigroup value: evolves
@@ -346,17 +347,20 @@ def exp_local_time_moment(kernel: Kernel, t, radius=None, start=None,
     maps an (M, d) array of sites to M values, as for the estimators, and
     defaults to 1.  The brute-force reference the Monte Carlo estimators
     are tested against: for a single initial particle, f = 1 gives
-    P[|etabar_t|^2] and f = f_delta0 the overlap sum_x P[etabar_{t,x}^2].
+    P[|etabar_t|^2] and f = f_delta0 the overlap sum_x P[etabar_{t,x}^2];
+    from a pair offset ``start`` (default 0) they are that pair's terms.
+    The box reaches six walk standard deviations past both the origin
+    and ``start``.
     """
-    walk = walk_from_kernel(kernel)
+    walk = _box_walk(kernel)
     beta = 0.5 * walk.kappa2
     T = 2.0 * float(t)
     d = kernel.d
-    if radius is None:
-        var = max(sum(z[i] ** 2 * q for z, q in walk.rates.items())
-                  for i in range(d))
-        radius = int(math.ceil(6.0 * math.sqrt(var * T))) + kernel.r_K
-    R = int(radius)
+    start = tuple(start) if start is not None else tuple([0] * d)
+    var = max(sum(z[i] ** 2 * q for z, q in walk.rates.items())
+              for i in range(d))
+    R = (int(math.ceil(6.0 * math.sqrt(var * T))) + kernel.r_K
+         + max(map(abs, start)))
     sites = _box_sites(d, R)
     index = {s: i for i, s in enumerate(sites)}
     potential = np.zeros(len(sites))
@@ -365,7 +369,6 @@ def exp_local_time_moment(kernel: Kernel, t, radius=None, start=None,
     v0 = (np.ones(len(sites)) if f is None
           else np.asarray(f(np.asarray(sites)), dtype=float))
     v = _integrate(A, v0, [T])[0]
-    start = tuple(start) if start is not None else tuple([0] * d)
     return float(v[index[start]])
 
 
@@ -475,7 +478,7 @@ def fk3_estimate(kernel: Kernel, initial, t, f, samples, seed,
 # weights collapse to the bounded h(x0)/h(S_T) band.
 
 
-class _HFieldCache:
+class _HField:
     """Approximate h(x) = 1 + kappa_2 G(x)/(2 - kappa_2 G(0)) on all of Z^d.
 
     Inside a box the Green values come from a truncated solve corrected
@@ -486,8 +489,9 @@ class _HFieldCache:
     of this field; the importance weights are exact for any field.
 
     The quadrature that calibrates the box also evaluates G at the extra
-    ``offsets``: ``h_values`` holds the exact h at every quadrature
-    offset, as ``walk.h_of_x`` computes it.
+    ``offsets`` (each offset's sum is its own, so they leave the field
+    unchanged): ``h_values`` holds the exact h at every quadrature
+    offset, bit for bit as ``walk.h_of_x`` computes it.
     """
 
     def __init__(self, walk: WalkSpec, radius=40, offsets=()):
@@ -553,41 +557,6 @@ class _HFieldCache:
         return np.where(inside, near, 1.0 + self.kappa2 * g / self.denom)
 
 
-# keyed by everything the field is built from, so equal kernels parsed
-# separately share one field and no other kernel can hit it
-_H_FIELDS = {}
-
-
-def _h_field(walk: WalkSpec, radius=40, offsets=()):
-    """The cached field of the walk; a new one also evaluates h at
-    ``offsets``."""
-    key = (walk.d, tuple(sorted(walk.rates.items())), walk.kappa2, int(radius))
-    field = _H_FIELDS.get(key)
-    if field is None:
-        field = _HFieldCache(walk, radius, offsets)
-        _H_FIELDS[key] = field
-    return field
-
-
-def limit_reference(kernel: Kernel, offset, resolution=None):
-    """h(offset) = 1 + kappa_2 G(offset)/(2 - kappa_2 G(0)), the value
-    `fk3_limit_estimate` from ``offset`` tends to as t -> infinity.
-
-    Equal to ``walk.h_of_x`` bit for bit, errors included.  At the
-    default resolution it is read from the quadrature that builds the
-    estimator's h-field, so one Green quadrature serves both; another
-    resolution, or a field cached before without this offset, costs a
-    second one.
-    """
-    offset = tuple(offset)
-    if (resolution is None and kernel.d >= 3
-            and kernel_moments(kernel).kappa2 > 0.0):
-        field = _h_field(walk_from_kernel(kernel), offsets=[offset])
-        if offset in field.h_values:
-            return field.h_values[offset]
-    return h_of_x(kernel, [offset], resolution=resolution)[offset]
-
-
 def fk3_limit_estimate(kernel: Kernel, offset, t, samples, seed, f=None,
                        batch=50_000) -> EstimateResult:
     """E_S^offset[exp(kappa_2/2 * local time at 0 up to 2t) f(S_{2t})]
@@ -598,13 +567,17 @@ def fk3_limit_estimate(kernel: Kernel, offset, t, samples, seed, f=None,
     covariance formula) are reachable.  f defaults to 1.  The metadata
     reports the health of the importance weights w (before f): the
     effective sample size (sum w)^2 / sum w^2 (Kong 1992) and the largest
-    weight's share of sum w.
+    weight's share of sum w.  For f = 1 it also holds ``limit``, the
+    exact h(offset) = 1 + kappa_2 G(offset)/(2 - kappa_2 G(0)) that the
+    estimand tends to as t -> infinity (None for any other f), from the
+    Green quadrature that builds the h-field.
     """
     # checked before the h-field build, which a bad count would waste
     if samples < 1:
         raise WalkError(f"samples must be at least 1, got {samples}")
     walk = walk_from_kernel(kernel)
-    field = _h_field(walk)
+    offset = tuple(offset)
+    field = _HField(walk, offsets=[offset])
     beta = 0.5 * walk.kappa2
     steps = np.asarray(sorted(walk.rates), dtype=np.int64)
     K = len(steps)
@@ -654,7 +627,9 @@ def fk3_limit_estimate(kernel: Kernel, offset, t, samples, seed, f=None,
                           metadata={"method": "h-tilted importance sampling",
                                     "horizon": T,
                                     "ess": float(w_sum**2 / w_sq),
-                                    "max_weight_share": float(w_max / w_sum)})
+                                    "max_weight_share": float(w_max / w_sum),
+                                    "limit": (field.h_values[offset]
+                                              if f is None else None)})
 
 
 # ---------------------------------------------------------------------------

@@ -181,6 +181,30 @@ def test_dual_martingale_small_ensemble():
         assert abs(m - 1.0) <= 3.5 * se
 
 
+@pytest.mark.parametrize("dual,seed", [(False, 2201), (True, 2202)],
+                         ids=["forward", "dual"])
+def test_second_moments_match_exact(dual, seed):
+    # from one particle at 0: E|etabar_t|^2, and D(t) = sum_x
+    # E[etabar_{t,x}^2] = E[overlap |etabar_t|^2], against the exact
+    # Schrodinger-semigroup values
+    grid = [0.5, 1.0, 2.0]
+    s = run_ensemble(BCPP3, [(ORIGIN3, 1.0)], grid, 15_000, base_seed=seed,
+                     dual=dual)
+    assert s.truncated == 0
+    col = {name: s.rows.values[:, :, i] for i, name in enumerate(s.rows.names)}
+    sq = col["normalized_total_sq"]
+    per_site = col["overlap"] * col["normalized_total"] ** 2
+    for j, t in enumerate(grid):
+        for name, x, exact in [
+                ("E|etabar_t|^2", sq[:, j], fk.exp_local_time_moment(BCPP3, t)),
+                ("D(t)", per_site[:, j],
+                 fk.exp_local_time_moment(BCPP3, t, f=fk.f_delta0))]:
+            mean, se = x.mean(), x.std(ddof=1) / math.sqrt(len(x))
+            assert abs(mean - exact) <= 3 * se, (
+                f"{name} at t={t}: {mean:.4f}+-{se:.4f} vs exact {exact:.4f}; "
+                f"Hill index of |etabar_t|^2 {fk.hill_index(sq[:, j]):.2f}")
+
+
 # d=1 kernel with a death atom, an atom that does not read its own site and
 # atoms that read several offsets
 MULTI1 = Kernel(1, [(0.25, {}), (0.25, {(0,): 0.5, (1,): 1.0, (-2,): 0.7}),

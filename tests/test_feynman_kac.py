@@ -401,17 +401,6 @@ def test_tilted_estimator_health():
     assert 1.0 / res.samples <= res.metadata["max_weight_share"] < 1.0
 
 
-def test_h_field_cache_keyed_by_content(monkeypatch):
-    monkeypatch.setattr(fk, "_H_FIELDS", {})
-    first, second = (walk_from_kernel(Kernel.from_dict(BCPP3.to_dict()))
-                     for _ in range(2))
-    other = walk_from_kernel(make_bcpp_kernel(3, 2.0))
-    assert fk._h_field(first, radius=8) is fk._h_field(second, radius=8)
-    assert len(fk._H_FIELDS) == 1
-    assert fk._h_field(other, radius=8) is not fk._h_field(first, radius=8)
-    assert len(fk._H_FIELDS) == 2
-
-
 def test_tilted_estimator_with_delta0():
     # tilted and plain estimators agree for a non-constant f
     a = fk.fk3_limit_estimate(BCPP3, (0, 0, 0), 4.0, 60_000, seed=10,
@@ -585,11 +574,12 @@ def test_limit_estimate_stream_position(monkeypatch, kernel, offset, t,
 
 
 def test_limit_estimate_rejects_no_samples(monkeypatch):
-    # rejected before the h-field is built and cached
-    monkeypatch.setattr(fk, "_H_FIELDS", {})
+    # rejected before the h-field is built
+    def no_field(*args, **kwargs):
+        raise AssertionError("h-field built")
+    monkeypatch.setattr(fk, "_HField", no_field)
     with pytest.raises(WalkError, match="samples"):
         fk.fk3_limit_estimate(BCPP3, (0, 0, 0), 1.0, 0, seed=1)
-    assert fk._H_FIELDS == {}
 
 
 def test_plain_estimate_golden():
@@ -628,7 +618,7 @@ def _values_reference(field, pos):
 @pytest.mark.parametrize("kernel", [BCPP3, DIAG3], ids=["bcpp3", "diagonal"])
 def test_h_lookup_matches_row_reference(kernel):
     R = 8
-    field = fk._h_field(walk_from_kernel(kernel), radius=R)
+    field = fk._HField(walk_from_kernel(kernel), radius=R)
     gen = np.random.default_rng(2718)
     inside = gen.integers(-R, R + 1, size=(3000, 3))
     face = gen.integers(-R, R + 1, size=(3000, 3))
@@ -664,6 +654,22 @@ def test_exact_moment_default_end_point_is_one():
     default = fk.exp_local_time_moment(BCPP3, 2.0)
     _assert_golden(default, 2.247116912640171)
     assert fk.exp_local_time_moment(BCPP3, 2.0, f=fk.f_one) == default
+
+
+def test_exact_moment_frozen_walk():
+    # pure death moves no mass: the walk stays at its start for the whole
+    # horizon 2t, so the weight is exp(kappa_2 t) from 0 and 1 elsewhere
+    death = Kernel(1, [(1.0, {})])
+    assert abs(fk.exp_local_time_moment(death, 0.5) - math.exp(0.5)) < 1e-12
+    assert abs(fk.exp_local_time_moment(death, 0.5, start=(3,)) - 1.0) < 1e-12
+
+
+def test_exact_moment_box_covers_start():
+    # the default box reaches past the start; from 30 sites away the walk
+    # almost never reaches the origin by time 2t, so the weight stays 1
+    # (up to the ~1e-8 of paths the box boundary kills)
+    far = fk.exp_local_time_moment(BCPP3, 1.0, start=(30, 0, 0))
+    assert abs(far - 1.0) < 1e-6
 
 
 def test_tilted_overlap_matches_exact():

@@ -161,7 +161,8 @@ def test_overlap_decay_bcpp():
 
 def test_covariance_check_tilted_moderate_t():
     # plumbing test at t = 300 with a tolerance wide enough for the
-    # known finite-horizon deficit (~15% at T = 600)
+    # known finite-horizon deficit (u = 7.42292 at t = 300, 14.3% below
+    # h(0), by the renewal equation)
     res = stats.covariance_limit_check(BCPP3, ORIGIN3, ORIGIN3, 300.0,
                                        20_000, seed=7, rel_tol=0.25)
     assert res.passed
@@ -170,21 +171,18 @@ def test_covariance_check_tilted_moderate_t():
 
 def test_covariance_check_runs_one_quadrature(monkeypatch):
     # the reference h(a-b) comes from the quadrature that builds the
-    # h-field, bit for bit the value of its own pass
+    # estimator's h-field, bit for bit the value of its own pass; every
+    # check builds its own field
     calls = []
     green = walk_mod.green
     monkeypatch.setattr(walk_mod, "green",
                         lambda *a, **kw: calls.append(a) or green(*a, **kw))
-    monkeypatch.setattr(fk, "_H_FIELDS", {})
-    res = stats.covariance_limit_check(BCPP3, (5, 0, 0), ORIGIN3, 20.0, 200,
-                                       seed=7)
-    assert len(calls) == 1
-    assert res.reference == h_of_x(BCPP3, [(5, 0, 0)])[(5, 0, 0)]
-    # a field cached without the offset costs a second quadrature
-    res = stats.covariance_limit_check(BCPP3, (2, 1, 0), ORIGIN3, 20.0, 200,
-                                       seed=7)
-    assert len(calls) == 3
-    assert res.reference == h_of_x(BCPP3, [(2, 1, 0)])[(2, 1, 0)]
+    for w in [(5, 0, 0), (2, 1, 0)]:
+        calls.clear()
+        res = stats.covariance_limit_check(BCPP3, w, ORIGIN3, 20.0, 200,
+                                           seed=7)
+        assert len(calls) == 1
+        assert res.reference == h_of_x(BCPP3, [w])[w]
 
 
 def test_covariance_check_paths_agree(small_ensemble):
@@ -194,11 +192,34 @@ def test_covariance_check_paths_agree(small_ensemble):
     assert res.notes["ensemble"]["agree"]
 
 
+def test_covariance_cross_check_uses_initial_data(monkeypatch):
+    # two unit particles: E|etabar_t|^2 sums the exact moments over the
+    # pair offsets 0 (weight 2) and +-e1, about 3.2 times the one-particle
+    # value, and one tilted walk (no second one) serves the check
+    s = run_ensemble(BCPP3, [(ORIGIN3, 1.0), ((1, 0, 0), 1.0)], [1.0], 2000,
+                     base_seed=1616)
+    walks = []
+    estimate = fk.fk3_limit_estimate
+    monkeypatch.setattr(fk, "fk3_limit_estimate",
+                        lambda *a, **kw: walks.append(a) or estimate(*a, **kw))
+    res = stats.covariance_limit_check(BCPP3, ORIGIN3, ORIGIN3, 20.0, 200,
+                                       seed=17, summary=s)
+    ens = res.notes["ensemble"]
+    assert ens["agree"], ens
+    assert len(walks) == 1
+    one = fk.exp_local_time_moment(BCPP3, 1.0)
+    side = fk.exp_local_time_moment(BCPP3, 1.0, start=(1, 0, 0))
+    assert math.isclose(ens["exact"], 2 * one + 2 * side, rel_tol=1e-12)
+
+
 def test_second_moment_check(small_ensemble):
     res = stats.second_moment_boundedness_check(BCPP3, small_ensemble)
     assert res.passed
     assert res.notes["monotone_ok"] and res.notes["upper_ok"]
     assert abs(res.notes["h0"] - 8.663) < 2e-2
+    # reported, not gated: the exact E|etabar_t|^2 at the grid times
+    assert abs(res.notes["exact_means"][0] - 1.75514) < 1e-5
+    assert len(res.notes["exact_means"]) == len(small_ensemble.t_grid)
 
 
 def test_second_moment_with_limit_estimate(small_ensemble):
