@@ -52,7 +52,7 @@ import numpy as np
 from .engine import seeded_rng
 from .kernel import Kernel, kernel_moments, _l1_ball
 from .walk import (WalkSpec, walk_from_kernel, simulate_walk, jump_chain,
-                   at_origin, pick_table, pick_step,
+                   pick_table, pick_step,
                    DegenerateWalkError, WalkError)
 
 
@@ -488,6 +488,12 @@ class _HField:
     matrix of the walk.  Only estimator variance depends on the quality
     of this field; the importance weights are exact for any field.
 
+    One padded table covers |x|_inf <= R + 2 rho, rho the walk's longest
+    step in l-inf: the box values inside R, and on the ring around it the
+    far field, computed by the same element-wise expression as everywhere
+    else outside the box, so either route gives the same bits.  ``table``
+    is the box, a view of the padded table.
+
     The quadrature that calibrates the box also evaluates G at the extra
     ``offsets`` (each offset's sum is its own, so they leave the field
     unchanged): ``h_values`` holds the exact h at every quadrature
@@ -522,39 +528,85 @@ class _HField:
         self.A_inv = np.linalg.inv(A)
         self.far_const = math.gamma((d - 2) / 2.0) / (
             4.0 * math.pi ** (d / 2.0) * math.sqrt(np.linalg.det(A)))
-        self.table = np.maximum(1.0 + self.kappa2 * gbox / denom, 1.0)
         self.denom = denom
-        self._flat = self.table.ravel()
-        self._centre = int(np.ravel_multi_index((R,) * d, self.table.shape))
         self._far_terms = [(i, j, float(self.A_inv[i, j]))
                            for i in range(d) for j in range(d)
                            if self.A_inv[i, j] != 0.0]
+
+        self.steps = steps = np.asarray(sorted(walk.rates), dtype=np.int64)
+        rho = int(np.abs(steps).max())
+        self._pad = P = R + 2 * rho
+        n = 2 * P + 1
+        padded = np.empty((n,) * d)
+        box = (slice(2 * rho, n - 2 * rho),) * d
+        padded[box] = np.maximum(1.0 + self.kappa2 * gbox / denom, 1.0)
+        # the ring R < |x|_inf <= P, one slab per axis i: |x_j| <= R for
+        # j < i and |x_i| > R (no coordinates for the whole cube)
+        line = np.arange(-P, P + 1)
+        ring = np.concatenate([line[:2 * rho], line[n - 2 * rho:]])
+        for i in range(d):
+            axes = [line[box[0]]] * i + [ring] + [line] * (d - i - 1)
+            slab = np.stack(np.broadcast_arrays(*np.ix_(*axes)))
+            padded[np.ix_(*(a + P for a in axes))] = self._far(slab)
+        self.table = padded[box]
+        self._flat = padded.ravel()
+        # flat index of x in the padded table: strides . x + centre
+        self._strides = n ** np.arange(d - 1, -1, -1)
+        self._centre = int(self._strides.sum()) * P
+        # a path within `_reach` of the origin finds itself and all its
+        # neighbours in the table, at these flat indices from its own
+        self._reach = R + rho
+        here_and_nb = np.vstack([np.zeros(d, np.int64), steps])
+        self._nb_flat = (here_and_nb @ self._strides + self._centre)[:, None]
+        # as floats, exact for these integers, so that the far field
+        # converts no coordinate on each call
+        self._nb_coords = here_and_nb.T[:, :, None].astype(float)
+
+    def _far(self, X):
+        """The far field at the points X[:, ...] (coordinates on axis 0),
+        none at the origin.  The quadratic form x' A^-1 x is summed term by
+        term in row-major order over the nonzero entries of A^-1, which
+        reproduces ``einsum("bi,ij,bj->b")`` bit for bit."""
+        r2 = np.zeros(X.shape[1:])
+        for i, j, a in self._far_terms:
+            r2 += X[i] * a * X[j]
+        g = self.far_const / np.sqrt(r2) ** (self.d - 2)
+        return 1.0 + self.kappa2 * g / self.denom
 
     def lookup(self, xs):
         """h-tilde at integer points given coordinate-wise.
 
         ``xs`` holds one int array per coordinate, all of one shape; the
-        result has that shape.  Inside the box the table is read at one
-        flat index; outside, the far field's quadratic form x' A^-1 x is
-        summed term by term in row-major order over the nonzero entries
-        of A^-1, which reproduces ``einsum("bi,ij,bj->b")`` bit for bit.
+        result has that shape.  Points in the padded table read it at one
+        flat index; only the points beyond it go through the far field.
         """
-        R, n = self.radius, 2 * self.radius + 1
-        inside = np.abs(xs[0]) <= R
-        flat = xs[0]
-        for x in xs[1:]:
-            inside &= np.abs(x) <= R
-            flat = flat * n + x
-        # outside points read a clipped index; np.where discards it
-        near = self._flat.take(flat + self._centre, mode="clip")
-        r2 = np.zeros(inside.shape)
-        for i, j, a in self._far_terms:
-            r2 += xs[i] * a * xs[j]
-        # inside points (the origin among them) never use the far field;
-        # r = 1 there keeps it finite
-        r = np.sqrt(np.where(inside, 1.0, r2))
-        g = self.far_const / r ** (self.d - 2)
-        return np.where(inside, near, 1.0 + self.kappa2 * g / self.denom)
+        X = np.asarray(xs)
+        inside = np.abs(X).max(axis=0) <= self._pad
+        out = np.empty(inside.shape)
+        out[inside] = self._flat.take(self._strides @ X[:, inside]
+                                      + self._centre)
+        far = ~inside
+        out[far] = self._far(X[:, far])
+        return out
+
+    def around(self, xs):
+        """h-tilde at each path's position and its neighbours x + z.
+
+        ``xs`` holds the n paths' coordinates, one int array each; returns
+        the (K+1, n) values, row 0 at the positions and row k at step k-1
+        of ``steps``, equal bit for bit to ``lookup`` of those points, and
+        the mask of the paths at the origin.  Every path reads its K+1
+        points from the table in one ``take``; a path beyond R + rho, with
+        every point outside the box, then has them replaced by the far
+        field, which only such paths go through.
+        """
+        X = np.asarray(xs)
+        near = np.abs(X).max(axis=0) <= self._reach
+        flat = self._strides @ X
+        far = np.flatnonzero(~near)
+        h = self._flat.take(self._nb_flat + np.where(near, flat, 0))
+        h[:, far] = self._far(X.take(far, axis=1)[:, None] + self._nb_coords)
+        return h, near & (flat == 0)
 
 
 def fk3_limit_estimate(kernel: Kernel, offset, t, samples, seed, f=None,
@@ -579,30 +631,31 @@ def fk3_limit_estimate(kernel: Kernel, offset, t, samples, seed, f=None,
     offset = tuple(offset)
     field = _HField(walk, offsets=[offset])
     beta = 0.5 * walk.kappa2
-    steps = np.asarray(sorted(walk.rates), dtype=np.int64)
+    steps = field.steps
     K = len(steps)
-    # per coordinate: the offsets of the position itself (0) and of its
-    # neighbours, so that one field.lookup covers them all
-    here_and_nb = [np.concatenate(([0], steps[:, i])) for i in range(kernel.d)]
-    q = np.asarray([walk.rates[tuple(z)] for z in steps])
+    q = np.asarray([walk.rates[tuple(z)] for z in steps])[:, None]
     lam = q.sum()
     T = 2.0 * float(t)
     start = np.asarray(offset, dtype=np.int64)
     rng = seeded_rng(seed, 0x7117)
 
     def rates(xs, e):
-        # the tilted rates q(z) h(x+z)/h(x); the Girsanov integrand is
-        # their excess over the walk's total rate
-        h_all = field.lookup([x[:, None] + o for x, o in zip(xs, here_and_nb)])
-        h_here, h_nb = h_all[:, 0], h_all[:, 1:]
-        qt = q[None, :] * h_nb / h_here[:, None]
-        lam_t = qt.sum(axis=1)
+        # the tilted rates q(z) h(x+z)/h(x), one row per step; the
+        # Girsanov integrand is their total's excess over the walk's total
+        # rate, summed as numpy sums each path's row of K rates in the
+        # (paths, steps) memory layout (pairwise from K = 8 on)
+        h, at0 = field.around(xs)
+        cum = q * h[1:] / h[0]
+        lam_t = np.ascontiguousarray(cum.T).sum(axis=1)
+        # then their partial sums over the steps, in place
+        for k in range(1, K):
+            cum[k] += cum[k - 1]
 
         def pick(u):
-            u = u * lam_t
-            return np.minimum((np.cumsum(qt, axis=1) < u[:, None]).sum(axis=1),
-                              K - 1)
-        return at_origin(xs), e / lam_t, lam_t - lam, pick
+            # the partial sums below u * lam_t; they do not decrease, so
+            # counting K-1 of them caps the step index at K-1
+            return (cum[:-1] < u * lam_t).sum(axis=0)
+        return at0, e / lam_t, lam_t - lam, pick
 
     total = 0.0
     total_sq = 0.0

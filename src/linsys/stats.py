@@ -292,6 +292,16 @@ def _exact_second_moment(kernel: Kernel, initial, t):
                for w, W in fk._initial_pair_offsets(initial).items())
 
 
+def _top_share(sample, fraction):
+    """The largest ceil(fraction * n) values' share of the sample's sum
+    (nan for an empty or all-zero sample)."""
+    x = np.sort(np.asarray(sample, dtype=float))
+    total = x.sum()
+    if total <= 0.0:
+        return math.nan
+    return float(x[len(x) - math.ceil(fraction * len(x)):].sum() / total)
+
+
 def covariance_limit_check(kernel: Kernel, a, b, t, samples, seed,
                            summary=None, rel_tol=0.10, k=3.0,
                            resolution=None) -> CheckResult:
@@ -327,10 +337,17 @@ def covariance_limit_check(kernel: Kernel, a, b, t, samples, seed,
         st = summary.stat("normalized_total_sq", "all")
         ens_t = summary.t_grid[0]
         exact = _exact_second_moment(kernel, summary.metadata["initial"], ens_t)
-        # an ensemble that dropped truncated replicas is biased low
+        rows = summary.rows
+        sq = rows.values[rows.recorded == len(summary.t_grid), 0,
+                         rows.names.index("normalized_total_sq")]
+        # an ensemble that dropped truncated replicas is biased low; the
+        # tail health is for the record (a Hill index below 2 means
+        # infinite variance, where the SE is no error bar)
         res.notes["ensemble"] = {
             "t": ens_t, "mean_sq": st["mean"][0], "se": st["se"][0],
             "exact": exact, "truncated": summary.truncated,
+            "hill_index": fk.hill_index(sq[sq > 0.0]),
+            "top_1pct_share": _top_share(sq, 0.01),
             "agree": bool(not summary.truncated
                           and abs(st["mean"][0] - exact) <= k * st["se"][0]),
         }

@@ -83,3 +83,15 @@ def diagonal_step_kernel():
     dirs += [tuple(-c for c in z) for z in dirs]
     return Kernel(3, [(1 / 11, {})]
                   + [(1 / 11, {(0, 0, 0): 1.0, z: 1.0}) for z in dirs])
+
+
+def reach_two_kernel():
+    """BCPP-like d=3 kernel branching to ±e_i and ±2e_i (i = 1, 2, 3).
+
+    Its walk reaches two sites per step, so a path's neighbours lie up to
+    2 sites away.  The survival criterion holds (value ≈ 0.646).
+    """
+    dirs = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0), (0, 2, 0), (0, 0, 2)]
+    dirs += [tuple(-c for c in z) for z in dirs]
+    return Kernel(3, [(1 / 13, {})]
+                  + [(1 / 13, {(0, 0, 0): 1.0, z: 1.0}) for z in dirs])

@@ -7,12 +7,15 @@ import pytest
 from linsys.engine import init_state, unpack_site
 from linsys.kernel import Kernel, kernel_moments, make_bcpp_kernel, validate_kernel
 from linsys import feynman_kac as fk
-from linsys.walk import WalkError, simulate_walk, walk_from_kernel
-from conftest import diagonal_step_kernel, random_single_offset_kernel
+from linsys.walk import (WalkError, simulate_walk, survival_criterion,
+                         walk_from_kernel)
+from conftest import (diagonal_step_kernel, random_single_offset_kernel,
+                      reach_two_kernel)
 
 BCPP1 = make_bcpp_kernel(1, 1.0)
 BCPP3 = make_bcpp_kernel(3, 1.0)
 DIAG3 = diagonal_step_kernel()
+REACH2 = reach_two_kernel()
 # one atom touching two offsets at once: orthogonality fails
 BAD = Kernel(1, [(0.5, {}), (0.5, {(0,): 1.0, (1,): 1.0, (2,): 1.0})])
 
@@ -482,6 +485,45 @@ def test_limit_estimate_golden_diagonal_steps_batched():
                                         0.0007748400366440947))
 
 
+# The tilted estimates pinned bit for bit (float.hex of value, SE, ESS and
+# the largest weight's share) on this machine's numpy: any change to the
+# h-field's values or to the float order of the tilted rates moves them.
+# DIAG3 has K = 10 steps, where a sum over the steps in another memory
+# order moves the last bit; REACH2's steps reach two sites, so a path's
+# neighbours lie up to two sites past the box.
+@pytest.mark.parametrize("kernel,offset,t,samples,seed,f,batch,expected", [
+    (BCPP3, (0, 0, 0), 2500.0, 200, 41, None, 50_000,
+     ("0x1.05fcfef3dddc3p+3", "0x1.5a4987dfa35fcp-5",
+      "0x1.8de0eff4c3bdap+7", "0x1.6c220ec1a6a81p-8")),
+    (BCPP3, (1, 0, 0), 2500.0, 200, 41, None, 50_000,
+     ("0x1.b485859897eacp+1", "0x1.e82f5c382e443p-7",
+      "0x1.8e7aa37661bf1p+7", "0x1.6ed38a7475cf4p-8")),
+    (BCPP3, (5, 0, 0), 2500.0, 200, 41, None, 50_000,
+     ("0x1.69083b013d26ap+0", "0x1.4f7147121f28fp-8",
+      "0x1.8ef2f03898115p+7", "0x1.70564b53f9ea5p-8")),
+    (BCPP3, (0, 0, 0), 20.0, 2000, 42, fk.f_delta0, 50_000,
+     ("0x1.df3b32483cde3p-5", "0x1.57ea7c9faecccp-8",
+      "0x1.c5ed78918e076p+10", "0x1.96c7be8ad499ep-11")),
+    (DIAG3, (1, 0, 0), 2500.0, 300, 43, None, 120,
+     ("0x1.dd57ede0725dcp+0", "0x1.7d09e2c10552dp-9",
+      "0x1.2bc8097078b8cp+8", "0x1.d9b937b34c0dap-9")),
+    (REACH2, (0, 0, 0), 500.0, 300, 49, None, 50_000,
+     ("0x1.6688b302464e0p+1", "0x1.24f7647b6f6f1p-10",
+      "0x1.2bfc551b0e575p+8", "0x1.b976749c4a656p-9")),
+], ids=["bcpp3-0", "bcpp3-e1", "bcpp3-5e1", "bcpp3-delta0", "diagonal-batched",
+        "reach-two"])
+def test_limit_estimate_bits(kernel, offset, t, samples, seed, f, batch,
+                             expected):
+    res = fk.fk3_limit_estimate(kernel, offset, t, samples, seed, f=f,
+                                batch=batch)
+    assert tuple(float(v).hex() for v in _limit_golden(res)) == expected
+
+
+def test_reach_two_kernel_survives():
+    value, ok = survival_criterion(REACH2)
+    assert ok and value < 1.0
+
+
 # sha256 of the dual pair chain's end points and diagonal local times,
 # computed with the chain's own jump loop before it shared one with the
 # walks; the d=3 case runs three batches
@@ -638,6 +680,70 @@ def test_h_lookup_matches_row_reference(kernel):
     with np.errstate(all="raise"):
         h0 = field.lookup(np.zeros((3, 1), dtype=np.int64))
     assert h0[0] == field.table[R, R, R]
+
+
+@pytest.mark.parametrize("kernel", [BCPP3, DIAG3, REACH2],
+                         ids=["bcpp3", "diagonal", "reach-two"])
+def test_neighbourhood_read_matches_lookup(kernel):
+    # paths at |x|_inf = R, R+1, R+rho, R+rho+1, R+2rho, R+2rho+1: across
+    # the box edge, the edge of the paths read from the table, and the
+    # edge of the padded table itself
+    R = 8
+    field = fk._HField(walk_from_kernel(kernel), radius=R)
+    rho = int(np.abs(field.steps).max())
+    gen = np.random.default_rng(1618)
+    pos = [np.zeros((1, 3), dtype=np.int64)]
+    for level in (R, R + 1, R + rho, R + rho + 1, R + 2 * rho, R + 2 * rho + 1):
+        x = gen.integers(-level, level + 1, size=(400, 3))
+        x[np.arange(400), gen.integers(0, 3, size=400)] = level * gen.choice(
+            [-1, 1], size=400)
+        pos.append(x)
+    pos = np.concatenate(pos)
+    xs = list(pos.T)
+    with np.errstate(all="raise"):
+        h, at0 = field.around(xs)
+    points = pos[None, :, :] + np.vstack([np.zeros(3, np.int64),
+                                          field.steps])[:, None, :]
+    assert np.array_equal(h, field.lookup(np.moveaxis(points, 2, 0)))
+    assert np.array_equal(h.ravel(),
+                          _values_reference(field, points.reshape(-1, 3)))
+    assert np.array_equal(at0, ~pos.any(axis=1))
+
+
+def test_far_field_bits_do_not_depend_on_batch_shape():
+    # DIAG3's A^-1 has 9 nonzero entries, enough for numpy's pairwise
+    # order had the terms been summed by one reduction: a lone far point
+    # (the start, or the one path past the table) must get the bits it
+    # gets inside a batch and those of the plain float loop
+    field = fk._HField(walk_from_kernel(DIAG3), radius=8)
+    assert len(field._far_terms) >= 8
+    # every point of the two shells just past the padded table, where h
+    # is largest and a last-bit change in r^2 most often reaches h
+    P = field._pad
+    line = np.arange(-P - 2, P + 3)
+    pos = np.stack(np.meshgrid(line, line, line, indexing="ij"),
+                   axis=-1).reshape(-1, 3)
+    pos = pos[np.abs(pos).max(axis=1) > P]
+    batch = field.lookup(pos.T)
+    for x, h in zip(pos, batch):
+        r2 = 0.0
+        for i, j, a in field._far_terms:
+            r2 += float(x[i]) * a * float(x[j])
+        g = field.far_const / math.sqrt(r2) ** (field.d - 2)
+        assert h == 1.0 + field.kappa2 * g / field.denom
+        assert field.lookup(x[:, None])[0] == h
+        # one far path among paths in the table
+        h_nb, _ = field.around(list(np.stack([np.zeros(3, np.int64), x]).T))
+        assert h_nb[0, 1] == h
+
+
+@pytest.mark.parametrize("kernel", [BCPP3, DIAG3, REACH2],
+                         ids=["bcpp3", "diagonal", "reach-two"])
+def test_limit_estimate_from_origin_raises_no_float_error(kernel):
+    # the far field is never evaluated at the origin, where it divides by 0
+    with np.errstate(all="raise"):
+        res = fk.fk3_limit_estimate(kernel, (0, 0, 0), 30.0, 300, seed=50)
+    assert np.isfinite(res.value) and res.metadata["ess"] > 0.9 * 300
 
 
 # -- exact overlap reference and tail health --------------------------------

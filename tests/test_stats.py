@@ -212,6 +212,23 @@ def test_covariance_cross_check_uses_initial_data(monkeypatch):
     assert math.isclose(ens["exact"], 2 * one + 2 * side, rel_tol=1e-12)
 
 
+def test_covariance_cross_check_records_tail_health(small_ensemble):
+    # for the record only: the Hill index of |etabar_t|^2 and the top 1%'s
+    # share of its sum, at the cross-check's grid time
+    res = stats.covariance_limit_check(BCPP3, ORIGIN3, ORIGIN3, 20.0, 200,
+                                       seed=19, summary=small_ensemble)
+    ens = res.notes["ensemble"]
+    rows = small_ensemble.rows
+    sq = rows.values[:, 0, rows.names.index("normalized_total_sq")]
+    assert len(sq) == 4000 and small_ensemble.truncated == 0
+    assert ens["hill_index"] == fk.hill_index(sq[sq > 0.0])
+    assert ens["top_1pct_share"] == pytest.approx(
+        np.sort(sq)[-40:].sum() / sq.sum(), rel=1e-12)
+    assert 0.01 < ens["top_1pct_share"] < 1.0 and ens["hill_index"] > 0.0
+    assert ens["agree"] == (abs(ens["mean_sq"] - ens["exact"]) <= 3 * ens["se"])
+    assert math.isnan(stats._top_share(np.zeros(5), 0.01))
+
+
 def test_second_moment_check(small_ensemble):
     res = stats.second_moment_boundedness_check(BCPP3, small_ensemble)
     assert res.passed
