@@ -372,7 +372,8 @@ def _report(cfg, name, results):
 def _cmd_verify_martingale(cfg):
     summary = _ensemble(cfg)
     _emit_diagnostics(cfg, summary)
-    return _report(cfg, "verify_martingale", stats.martingale_check(summary))
+    return _report(cfg, "verify_martingale", stats.martingale_check(
+        summary, **_tolerances(cfg, k="k")))
 
 
 def _tolerances(cfg, **args):

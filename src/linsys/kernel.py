@@ -241,20 +241,23 @@ def bcpp_kappa1(d, lam):
     return (2 * d * lam - 1.0) / (2 * d * lam + 1.0)
 
 
-def validate_kernel(kernel: Kernel, tol=MOMENT_TOL) -> ValidationReport:
+def validate_kernel(kernel: Kernel) -> ValidationReport:
     """Check the structural conditions required by the limit theorems.
 
     k1_spanning
         offsets with E[K_x] != 0 contain a linear basis of R^d.
     k4_orthogonal
-        c(x) = 0 for every x != 0 within l1 reach 2*r_K (outside, every
-        term vanishes by finite range).
+        c(x) = 0 for every x != 0 (beyond l1 reach 2*r_K every term
+        vanishes by finite range).
     strong_k4
         E[(K_x - delta_{x,0})(K_y - delta_{y,0})] = 0 for all x != y,
         i.e. updates touch at most one coordinate at a time.
     offdiag_gamma_nonnegative
-        every off-diagonal pair-chain rate is >= -tol; required for the
-        two-point chains to be honest Markov chains.
+        every off-diagonal pair-chain rate is >= -MOMENT_TOL; required for
+        the two-point chains to be honest Markov chains.
+
+    The last three read the pair-rate table; each lists its violations
+    in increasing offset order.
     """
     violations = []
     d = kernel.d
@@ -272,39 +275,20 @@ def validate_kernel(kernel: Kernel, tol=MOMENT_TOL) -> ValidationReport:
     from . import feynman_kac  # deferred: feynman_kac imports this module
 
     table = feynman_kac.GammaTable(kernel)
-    k4 = True
-    for x in _l1_ball(d, 2 * kernel.r_K):
-        if x == zero:
-            continue
-        c = table.correlation(x)
-        if abs(c) > tol:
-            k4 = False
-            violations.append(("k4_orthogonal", x, c))
-
-    strong = True
-    sup = set(kernel.support)
-    sup.add(zero)
-    sup = sorted(sup)
-    for u in sup:
-        for v in sup:
-            if u == v:
-                continue
-            c = table.c2(u, v)
-            if abs(c) > tol:
-                strong = False
-                violations.append(("strong_k4", (u, v), c))
-
-    neg = table.negative_offdiag(tol)
-    gamma_ok = not neg
-    for entry in neg:
-        violations.append(("offdiag_gamma_nonnegative",) + entry)
-
+    k4 = [("k4_orthogonal", x, c)
+          for x, c in sorted(table.correlations.items())
+          if x != zero and abs(c) > MOMENT_TOL]
+    strong = [("strong_k4", (u, v), c)
+              for (u, v), c in sorted(table.cross_moments.items())
+              if u != v and abs(c) > MOMENT_TOL]
+    neg = [("offdiag_gamma_nonnegative",) + entry
+           for entry in table.negative_offdiag()]
     return ValidationReport(
         k1_spanning=k1,
-        k4_orthogonal=k4,
-        strong_k4=strong,
-        offdiag_gamma_nonnegative=gamma_ok,
-        violations=violations,
+        k4_orthogonal=not k4,
+        strong_k4=not strong,
+        offdiag_gamma_nonnegative=not neg,
+        violations=violations + k4 + strong + neg,
     )
 
 

@@ -189,9 +189,12 @@ def martingale_check(summary, k=3.0, normalized=True) -> CheckResult:
     return _fail_if_truncated(summary, [res])[0]
 
 
+CLT_MIN_SURVIVORS = 100   # fewer survivors mark a battery check underpowered
+CLT_SHRINK_FACTOR = 0.5   # largest variance ratio the shrink proxy passes
+
+
 def clt_check(summary, kernel: Kernel, rel_tol_bounded=0.05,
-              rel_tol_quadratic=0.10, k=3.0, min_survivors=100,
-              shrink_factor=0.5, shrink_from=None):
+              rel_tol_quadratic=0.10, k=3.0, shrink_from=None):
     """Battery statistics against their Gaussian integrals, conditioned
     on survival at the final grid time, plus the variance-shrink proxy
     for convergence in probability (variance at the last grid time over
@@ -207,7 +210,7 @@ def clt_check(summary, kernel: Kernel, rel_tol_bounded=0.05,
         rel = rel_tol_quadratic if kinds[name] == "quadclip" else rel_tol_bounded
         res = CheckResult.evaluate(f"clt:{name}", obs, ref, rel * abs(ref), se, k=k,
                                    notes={"survivors": int(n)})
-        if n < min_survivors:
+        if n < CLT_MIN_SURVIVORS:
             res.skipped = True
             res.notes["underpowered"] = True
         out.append(res)
@@ -221,10 +224,10 @@ def clt_check(summary, kernel: Kernel, rel_tol_bounded=0.05,
     thresh = {n: r for n, r in ratios.items() if kinds[n] == "halfspace"}
     worst_name = max(gated, key=gated.get) if gated else None
     worst = gated.get(worst_name, math.inf)
-    passed = worst <= shrink_factor and all(r < 1.0 for r in thresh.values())
+    passed = worst <= CLT_SHRINK_FACTOR and all(r < 1.0 for r in thresh.values())
     shrink = CheckResult(
         name="clt:variance_shrink", observed=float(worst), reference=0.0,
-        tolerance=shrink_factor, standard_error=0.0, k=0.0,
+        tolerance=CLT_SHRINK_FACTOR, standard_error=0.0, k=0.0,
         passed=bool(passed),
         notes={"proxy": "ensemble variance at last grid time over the one "
                         "at shrink_from (continuous probes gated; "
@@ -357,7 +360,7 @@ def covariance_limit_check(kernel: Kernel, a, b, t, samples, seed,
 
 def second_moment_boundedness_check(kernel: Kernel, summary,
                                     limit_estimate=None, rel_tol=0.10,
-                                    k=3.0, resolution=None) -> CheckResult:
+                                    k=3.0) -> CheckResult:
     """Sandwich for the second moment of the normalized total mass.
 
     Checks E[|etabar_t|^2] is nondecreasing within noise and stays below
@@ -374,8 +377,17 @@ def second_moment_boundedness_check(kernel: Kernel, summary,
     eta0_total = sum(m for _, m in initial)
     eta0_sq = sum(m * m for _, m in initial)
 
-    value, ok = walk_mod.survival_criterion(kernel, resolution=resolution)
-    if not ok:
+    pair_offsets = fk._initial_pair_offsets(initial)
+    if kernel_moments(kernel).kappa2 == 0.0:
+        # the criterion holds trivially and h = 1: no quadrature
+        value, h = 0.0, dict.fromkeys(pair_offsets, 1.0)
+    else:
+        # one quadrature gives the criterion (from G(0)) and h at every
+        # pair offset, each offset's sum its own
+        tab = walk_mod.green(walk_mod.walk_from_kernel(kernel),
+                             offsets=list(pair_offsets))
+        value, h = tab.criterion_value, tab.h_values
+    if value >= 1.0:
         growth = means[-1] / means[0] if means[0] > 0 else math.inf
         res = CheckResult(
             name="second_moment_bound", observed=float(means[-1]),
@@ -386,8 +398,6 @@ def second_moment_boundedness_check(kernel: Kernel, summary,
                    "means": means})
         return _fail_if_truncated(summary, [res])[0]
 
-    pair_offsets = fk._initial_pair_offsets(initial)
-    h = walk_mod.h_of_x(kernel, list(pair_offsets), resolution=resolution)
     h0 = h[tuple([0] * kernel.d)]
     upper = h0 * eta0_total**2
     lower = h0 * eta0_sq

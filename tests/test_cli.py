@@ -330,6 +330,16 @@ def test_cli_verify_martingale(capsys, tmp_path):
     assert rep["checks"][0]["passed"]
 
 
+def test_cli_verify_martingale_tests_with_config_k(tmp_path):
+    # the check runs with the k the artifact echoes, not its default
+    cfg = {"bcpp": {"d": 3, "lambda": 1.0}, "t_grid": [1.0], "replicas": 50,
+           "seed": 0, "tolerances": {"k": 0}, "output_dir": str(tmp_path)}
+    main(["verify-martingale", json.dumps(cfg)])
+    rep = json.loads((tmp_path / "verify_martingale.json").read_text())
+    assert rep["config"]["tolerances"] == {"k": 0}
+    assert rep["checks"][0]["k"] == 0.0
+
+
 def test_cli_config_file(tmp_path, capsys):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({"bcpp": {"d": 3, "lambda": 1.0}}))

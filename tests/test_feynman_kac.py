@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from linsys.engine import init_state, unpack_site
-from linsys.kernel import Kernel, kernel_moments, make_bcpp_kernel, validate_kernel
+from linsys.kernel import (Kernel, _l1_ball, kernel_moments, make_bcpp_kernel,
+                           validate_kernel)
 from linsys import feynman_kac as fk
 from linsys.walk import (WalkError, simulate_walk, survival_criterion,
                          walk_from_kernel)
@@ -60,7 +61,7 @@ def test_column_sum_closed_form(rng):
     for _ in range(20):
         k = random_single_offset_kernel(rng, 2)
         mom = kernel_moments(k)
-        csum = sum(k.correlation(y) for y in fk._l1_ball(2, 2 * k.r_K))
+        csum = sum(k.correlation(y) for y in _l1_ball(2, 2 * k.r_K))
         sums = _interior_sums(k, 2 * k.r_K + 1)
         assert abs(sums[(0, 0), (0, 0)][1] - (2 * mom.kappa1 + csum)) < 1e-10
         assert abs(sums[(1, 0), (0, 0)][1] - 2 * mom.kappa1) < 1e-10
@@ -72,7 +73,7 @@ def test_tabulated_correlation_matches_kernel(rng):
                               for _ in range(10)]
     for k in kernels:
         g = fk.GammaTable(k)
-        for w in fk._l1_ball(k.d, 2 * k.r_K + 1):
+        for w in _l1_ball(k.d, 2 * k.r_K + 1):
             assert abs(g.correlation(w) - k.correlation(w)) < 1e-14
 
 
@@ -121,15 +122,56 @@ def test_offdiag_rates_nonnegative(rng):
 
 
 def test_y_chain_rates_bcpp():
-    g = fk.GammaTable(BCPP3)
-    off = dict(g.y_jump_rates((2, 0, 0)))
+    tab = fk._PairChainTables(BCPP3)
     # off the diagonal: two free copies, each jumping at E[K_z] = 1/7
-    assert len(off) == 12
-    assert all(abs(r - 1 / 7) < 1e-12 for r in off.values())
-    diag = dict(g.y_jump_rates((0, 0, 0)))
+    assert len(tab.jumps) - tab.n_diag == 12
+    off = np.diff(tab.off_cum, prepend=0.0) * tab.rate_off
+    assert np.all(np.abs(off - 1 / 7) < 1e-12)
     # on the diagonal: 12 single moves plus 6 joint moves at c2(a,a) = 1/7
-    assert len(diag) == 18
-    assert abs(sum(diag.values()) - 18 / 7) < 1e-12
+    assert tab.n_diag == 18
+    assert abs(tab.rate_diag - 18 / 7) < 1e-12
+
+
+def _random_joint_kernel(rng, d):
+    """Random kernel whose atoms may touch several offsets in [-2, 2]^d
+    at once, so that orthogonality mostly fails."""
+    probs = rng.random(int(rng.integers(1, 5))) + 0.05
+    probs /= probs.sum()
+    atoms = []
+    for p in probs:
+        vec = {}
+        for _ in range(int(rng.integers(0, 4))):
+            off = tuple(int(c) for c in rng.integers(-2, 3, size=d))
+            vec[off] = float(rng.uniform(0.1, 2.0))
+        atoms.append((p, vec))
+    return Kernel(d, atoms)
+
+
+def test_validation_and_pair_chain_tables_golden():
+    # sha256 of the validation reports (flags, violations and their order)
+    # and the dual pair chain's jump tables over 60 seeded random kernels
+    # in d = 1..3, every other one non-orthogonal (30 report violations),
+    # recorded when both scanned the l1 ball of radius 2 r_K
+    rng = np.random.default_rng(20240818)
+    digest = hashlib.sha256()
+    flagged = 0
+    for i in range(60):
+        d = int(rng.integers(1, 4))
+        k = (_random_joint_kernel(rng, d) if i % 2
+             else random_single_offset_kernel(rng, d))
+        rep = validate_kernel(k)
+        flagged += bool(rep.violations)
+        digest.update(repr((rep.k1_spanning, rep.k4_orthogonal, rep.strong_k4,
+                            rep.offdiag_gamma_nonnegative,
+                            rep.violations)).encode())
+        tab = fk._PairChainTables(k)
+        for a in (tab.jumps, np.asarray([tab.n_diag]),
+                  np.asarray([tab.rate_diag, tab.rate_off]),
+                  tab.diag_cum, tab.off_cum):
+            digest.update(np.ascontiguousarray(a).tobytes())
+    assert flagged == 30
+    assert digest.hexdigest() == (
+        "39c5ca24c5832a2f1a4655c1551e39e0e4135149d32b761c7c0b937f49bc5c6e")
 
 
 # -- oracle -----------------------------------------------------------------

@@ -239,6 +239,24 @@ def test_second_moment_check(small_ensemble):
     assert len(res.notes["exact_means"]) == len(small_ensemble.t_grid)
 
 
+def test_second_moment_check_runs_one_quadrature(monkeypatch, small_ensemble):
+    # the criterion and h at every pair offset come from one Green table,
+    # bit for bit the values of their own quadratures
+    calls = []
+    green = walk_mod.green
+    monkeypatch.setattr(walk_mod, "green",
+                        lambda *a, **kw: calls.append(a) or green(*a, **kw))
+    res = stats.second_moment_boundedness_check(BCPP3, small_ensemble)
+    assert len(calls) == 1
+    assert res.notes["h0"] == h_of_x(BCPP3, [ORIGIN3])[ORIGIN3]
+    # below the critical rate; the check reads only the ensemble's means
+    sub = make_bcpp_kernel(3, 0.4)
+    calls.clear()
+    res = stats.second_moment_boundedness_check(sub, small_ensemble)
+    assert len(calls) == 1 and res.notes["trend"] == "unbounded"
+    assert res.notes["criterion_value"] == walk_mod.survival_criterion(sub)[0]
+
+
 def test_second_moment_with_limit_estimate(small_ensemble):
     limit = fk.fk3_limit_estimate(BCPP3, ORIGIN3, 2500.0, 4000, seed=9)
     res = stats.second_moment_boundedness_check(BCPP3, small_ensemble,
