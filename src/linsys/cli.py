@@ -88,10 +88,10 @@ def _resolution(v, path, ctx):
     quadrature = (ctx["command"] in ("criterion", "verify-cov")
                   or ctx["command"] == "green"
                   and ctx["values"]["method"] == "fourier_quadrature")
-    want = ", a multiple of 4 for the quadrature" if quadrature else ""
+    want = ", a multiple of 8 for the quadrature" if quadrature else ""
     return _rule("null or an integer >= 1" + want,
                  lambda v: v is None or type(v) is int and v >= 1
-                 and not (quadrature and v % 4))(v, path, ctx)
+                 and not (quadrature and v % 8))(v, path, ctx)
 
 
 def _list_of(item, nonempty=False):
@@ -351,12 +351,27 @@ def _cmd_oracle_two_point(cfg):
     return 0
 
 
+def _hill_index_theory(kernel):
+    """2/(kappa_2 G(0)), the plain weight's Pareto tail index in theory,
+    from one G(0)-only quadrature; None for d <= 2 (G(0) diverges) and for
+    a walk that never jumps (no tail), which covers kappa_2 = 0: only
+    K = delta_0 has it."""
+    if kernel.d <= 2:
+        return None
+    try:
+        walk = walk_mod.walk_from_kernel(kernel)
+    except walk_mod.DegenerateWalkError:
+        return None
+    return 2.0 / (walk.kappa2 * walk_mod.green(walk).g0)
+
+
 def _cmd_fk3(cfg):
     res = fk.fk3_estimate(cfg.kernel, cfg.initial, cfg.t,
                           _TEST_FUNCTIONS[cfg.f], cfg.samples, cfg.seed)
     _emit({"config": cfg.resolved(), "value": res.value,
            "standard_error": res.standard_error, "samples": res.samples,
-           "hill_index": res.metadata["hill_index"]},
+           "hill_index": res.metadata["hill_index"],
+           "hill_index_theory": _hill_index_theory(cfg.kernel)},
           _out_path(cfg, "fk3.json"))
     return 0
 

@@ -123,9 +123,15 @@ class GammaTable:
     def x_jump_rates(self, w):
         """Off-diagonal entries Gamma[(x,xt) -> (y,yt)] for w = x - xt.
 
-        Returns a list of ((dy, dyt), rate) with dy = y - x, dyt = yt - xt,
-        zero entries dropped.  Entries may be negative for kernels that
-        satisfy orthogonality but not the single-site-update condition.
+        Returns a sorted list of ((dy, dyt), rate) with dy = y - x,
+        dyt = yt - xt: every single move, plus the near rates at w.  Where
+        a single move and a near rate cancel, the entry is kept at exactly
+        0.0.  That is harmless: it adds nothing to a generator, and in the
+        dual pair chain's pick tables (built from the same sums) such a
+        row has zero width, so a uniform picks it only through round-off,
+        when it is the last row and `pick_table` forces its cumulative
+        entry up to 1.0.  Entries may be negative for kernels that satisfy
+        orthogonality but not the single-site-update condition.
         """
         out = dict(self._single)
         for jump, rate in self.near_rates.get(tuple(w), {}).items():

@@ -110,15 +110,32 @@ def walk_from_kernel(kernel: Kernel, symmetrized: bool = True) -> WalkSpec:
 # Green function
 
 
-def _phi_on_grid(walk, axes):
-    """phi(theta) on a tensor grid given 1-d axis arrays."""
+def _phi_on_grid(walk, axes, out=None):
+    """phi(theta) on a tensor grid given 1-d axis arrays, written into
+    ``out`` (a grid-shaped float array; a new one when None).
+
+    The terms are added in ``walk.rates`` order onto a scalar 0.0, so
+    each cell sees the same IEEE operations as a sum into a zero-filled
+    grid; but the partial sum keeps its broadcast shape until it spans
+    the grid, and only the later terms take full-grid passes, in place.
+    """
     mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
-    phi = np.zeros(tuple(len(a) for a in axes))
+    shape = tuple(len(a) for a in axes)
+    if out is None:
+        out = np.empty(shape)
+    phi = 0.0
     for z, q in walk.rates.items():
         dot = sum(c * m for c, m in zip(z, mesh) if c != 0)
         # 2 sin^2(x/2) = 1 - cos(x) without cancellation at small angles
-        phi += q * 2.0 * np.sin(0.5 * dot) ** 2
-    return phi, mesh
+        term = q * 2.0 * np.sin(0.5 * dot) ** 2
+        if np.broadcast_shapes(np.shape(phi), np.shape(term)) == shape:
+            phi = np.add(phi, term, out=out)
+        else:
+            phi = phi + term
+    if phi is not out:   # the terms never spanned the grid
+        out[...] = phi
+    return out, mesh
+
 
 def _fourier_level_sums(walk, offsets, n, levels):
     """Midpoint sums of cos(x.theta)/phi over dyadic annuli around 0.
@@ -127,33 +144,37 @@ def _fourier_level_sums(walk, offsets, n, levels):
     on an n-per-axis midpoint grid (n divisible by 4 so the inner half-cube
     is exactly the central block of cells).  The integrand is smooth on
     each annulus; the leftover cube C_levels contributes O(2^-levels).
+    Two grid buffers serve every level: phi, inverted in place with the
+    inner block zeroed, and the product cos(x.theta)/phi of one offset.
     """
     d = walk.d
     out = {x: 0.0 for x in offsets}
     lo, hi = n // 4, 3 * n // 4
     inner = (slice(lo, hi),) * d
+    inv, prod = np.empty((n,) * d), np.empty((n,) * d)
     for k in range(levels):
         half = math.pi * 0.5**k
         step = 2.0 * half / n
         ax = -half + step * (np.arange(n) + 0.5)
-        axes = [ax] * d
-        phi, mesh = _phi_on_grid(walk, axes)
-        mask = np.zeros_like(phi, dtype=bool)
-        mask[inner] = True
-        inv = np.where(mask, 0.0, 1.0 / phi)
+        _, mesh = _phi_on_grid(walk, [ax] * d, out=inv)
+        np.divide(1.0, inv, out=inv)
+        inv[inner] = 0.0
         cell = step**d
         for x in offsets:
             if any(x):
                 dot = sum(c * m for c, m in zip(x, mesh) if c != 0)
-                out[x] += float(np.sum(np.cos(dot) * inv)) * cell
+                np.multiply(np.cos(dot), inv, out=prod)
+                out[x] += float(np.sum(prod)) * cell
             else:
                 out[x] += float(np.sum(inv)) * cell
     return out
 
 
 def _green_fourier(walk, offsets, n, levels=40):
-    if n % 4:
-        raise WalkError("quadrature resolution must be divisible by 4")
+    # the coarse grid of n/2 points needs its own inner half-cube on cell
+    # boundaries, so n/2 is a multiple of 4
+    if n % 8:
+        raise WalkError("quadrature resolution must be a multiple of 8")
     coarse = _fourier_level_sums(walk, offsets, n // 2, levels)
     fine = _fourier_level_sums(walk, offsets, n, levels)
     norm = (2.0 * math.pi) ** walk.d

@@ -288,6 +288,29 @@ def test_cli_fk3(capsys):
     # the 200 largest weights tie (paths that never leave the origin), so
     # the index is infinite: no tail seen, written as null
     assert out["hill_index"] is None and "trimmed_value" not in out
+    # d <= 2: G(0) diverges, so there is no theory index
+    assert out["hill_index_theory"] is None
+
+
+@pytest.mark.parametrize("kernel, theory", [
+    # 2/(kappa_2 G(0)) = 1/criterion, criterion 0.8846 for BCPP d=3 lambda=1
+    ({"bcpp": {"d": 3, "lambda": 1.0}}, 1 / 0.8846),
+    # kappa_2 = 0: the identity kernel
+    ({"kernel": {"d": 3, "atoms": [
+        {"p": 1.0, "v": [{"x": [0, 0, 0], "val": 1.0}]}]}}, None),
+    # a walk that never jumps, with kappa_2 > 0
+    ({"kernel": {"d": 3, "atoms": [
+        {"p": 0.5, "v": []},
+        {"p": 0.5, "v": [{"x": [0, 0, 0], "val": 2.0}]}]}}, None),
+], ids=["bcpp3", "kappa2-zero", "frozen-walk"])
+def test_cli_fk3_hill_index_theory(capsys, kernel, theory):
+    cfg = {**kernel, "t": 0.5, "samples": 200, "seed": 1}
+    assert main(["fk3", json.dumps(cfg)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    if theory is None:
+        assert out["hill_index_theory"] is None
+    else:
+        assert abs(out["hill_index_theory"] - theory) < 1e-3
 
 
 def _reject_constant(token):
@@ -414,6 +437,9 @@ def _kernel1(p=0.75, x=(0,)):
     ("criterion", {"resolution": 6}, "'resolution'"),
     ("verify-cov", {"resolution": 6, "t": 1, "samples": 10}, "'resolution'"),
     ("green", {"resolution": 6}, "'resolution'"),
+    ("criterion", {"resolution": 12}, "'resolution'"),
+    ("verify-cov", {"resolution": 12, "t": 1, "samples": 10}, "'resolution'"),
+    ("green", {"resolution": 12}, "'resolution'"),
     ("criterion", {"bcpp": {"d": 3, "lambda": "x"}}, "'bcpp'"),
     ("criterion", {"bcpp": {"d": 3, "lambda": INF}}, "'bcpp'"),
     ("validate-kernel", _kernel1(x=["a"]), "'kernel'"),
@@ -428,6 +454,7 @@ def _kernel1(p=0.75, x=(0,)):
         "initial-empty", "tolerance-k-string", "slope-window-one-number",
         "t-overflow", "t-grid-overflow", "t-true", "method-bogus",
         "criterion-resolution-6", "cov-resolution-6", "green-resolution-6",
+        "criterion-resolution-12", "cov-resolution-12", "green-resolution-12",
         "lambda-string", "lambda-overflow", "kernel-x-not-integer",
         "kernel-x-fractional", "kernel-p-nan", "kernel-and-bcpp"])
 def test_cli_bad_input_exits_2(capsys, command, bad, key):

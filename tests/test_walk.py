@@ -15,7 +15,7 @@ from linsys.walk import (DegenerateWalkError, DivergentHError,
                          simple_walk, simulate_walk, survival_criterion,
                          walk_from_kernel)
 
-from conftest import diagonal_step_kernel
+from conftest import diagonal_step_kernel, reach_two_kernel
 
 PI3 = 0.34053732955  # simple-walk return probability in d = 3
 
@@ -204,6 +204,15 @@ def test_green_rejects_bad_offsets():
         green(w, offsets=[(7, 0, 0)], method="truncated_solve", resolution=6)
 
 
+def test_green_quadrature_resolution_multiple_of_8():
+    # the Richardson coarse grid of n/2 points needs its inner half-cube on
+    # cell boundaries: at n = 12 G(0) came out 1.7% low
+    w = walk_from_kernel(make_bcpp_kernel(3, 1.0))
+    for n in (6, 12, 20):
+        with pytest.raises(WalkError, match="multiple of 8"):
+            green(w, resolution=n)
+
+
 def test_green_counts_a_repeated_offset_once():
     w = walk_from_kernel(make_bcpp_kernel(3, 1.0))
     once = green(w, offsets=[(1, 0, 0)]).values
@@ -251,6 +260,49 @@ def test_h_of_x_values_unchanged():
                [(0, 0, 0), (1, 0, 0), (2, 1, 0), (5, 0, 0)])
     assert h == {(0, 0, 0): 8.662381070648507, (1, 0, 0): 3.609325446103548,
                  (2, 1, 0): 2.089383296517617, (5, 0, 0): 1.4881914824797176}
+
+
+# float.hex of the quadrature's values and error estimate, and sha256 of
+# the box solve: the Green layer's bits, whatever the grid passes
+GREEN_PINS = {
+    64: ({(0, 0, 0): "0x1.c4e4d350ae3bbp+0", (1, 0, 0): "0x1.3474514c07225p-1",
+          (2, 1, 0): "0x1.018e986214068p-2", (5, 0, 0): "0x1.cdae918d773a9p-4"},
+         "0x1.1be451d453155p-12"),
+    32: ({(0, 0, 0): "0x1.c4e45f5f3580dp+0", (1, 0, 0): "0x1.3473696915acbp-1",
+          (2, 1, 0): "0x1.018bdb65129a3p-2", (5, 0, 0): "0x1.ce3404cfdc83bp-4"},
+         "0x1.3d41226da55d5p-10"),
+}
+
+
+@pytest.mark.parametrize("n", sorted(GREEN_PINS))
+def test_green_quadrature_bits(n):
+    w = walk_from_kernel(make_bcpp_kernel(3, 1.0))
+    tab = green(w, offsets=[(1, 0, 0), (2, 1, 0), (5, 0, 0)], resolution=n)
+    values, err = GREEN_PINS[n]
+    assert {x: v.hex() for x, v in tab.values.items()} == values
+    assert tab.error_estimate.hex() == err
+
+
+@pytest.mark.parametrize("walk, resolution, g0", [
+    (walk_from_kernel(make_bcpp_kernel(3, 0.3)), None, "0x1.2dede235c97d3p+1"),
+    (walk_from_kernel(diagonal_step_kernel()), None, "0x1.840c8ce51d364p+0"),
+    (walk_from_kernel(reach_two_kernel()), None, "0x1.4ac7540bd2b4ep+0"),
+    (simple_walk(4), 16, "0x1.3d4cb14887f8ep-3"),
+    (simple_walk(4), 32, "0x1.3d4da623a7ea7p-3"),
+], ids=["bcpp3-lambda-0.3", "diagonal", "reach-two", "simple4-16",
+        "simple4-32"])
+def test_green_zero_bits(walk, resolution, g0):
+    assert green(walk, resolution=resolution).g0.hex() == g0
+
+
+@pytest.mark.parametrize("walk, R, digest", [
+    (walk_from_kernel(make_bcpp_kernel(3, 1.0)), 12,
+     "caf7f7b800b6eec5786f73067985994c04164e430f217c60091d45f4daaac38e"),
+    (walk_from_kernel(diagonal_step_kernel()), 8,
+     "3335c0df24fe677e6b380e6aa53bb06e89d77be733158887ce468eafbaa8ee4f"),
+], ids=["bcpp3", "diagonal"])
+def test_green_box_bits(walk, R, digest):
+    assert hashlib.sha256(green_box(walk, R).tobytes()).hexdigest() == digest
 
 
 def test_h_divergent_below_critical():
