@@ -268,6 +268,7 @@ def _emit_diagnostics(cfg, summary):
         import scipy  # the top level only: no submodule loads
         _emit({"events": summary.diagnostics["events"],
                "truncated": summary.truncated,
+               "peak_occupied": summary.diagnostics["peak_occupied"],
                "numpy": np.__version__, "scipy": scipy.__version__}, path)
 
 

@@ -35,17 +35,25 @@ set holds one offset, so every proposal is accepted; a kernel of identity
 atoms has Q = 0 and its dual clock runs with no event.  Both restrictions
 are distributionally exact.
 
+Each event or proposal takes three uniforms of the state's stream, in
+stream order: the wait, the site, then the atom or the pair (u, a).  They
+are read a block of events at a time, and each block's waiting-time
+logarithms, site uniforms and atom or pair picks are prepared before its
+events run; the uniforms a block leaves unused stay for the next one, so
+the block sizes do not change which uniform an event takes.
+
 Masses are doubles scaled by a shared log-scale factor (the total mass
 grows like exp(kappa_1 t)); normalized quantities are computed as
-exp(log_scale - kappa_1 t) * (unscaled value) so nothing overflows.
+exp(log_scale - kappa_1 t) * (unscaled value) so nothing overflows, and
+a mass that shrinks toward the bottom of the double range is rescaled
+before it can underflow to a false death.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate, chain
+from itertools import accumulate
 
 import numpy as np
 
@@ -57,11 +65,20 @@ _BITS = 21
 _OFF = 1 << 20
 _MASK = (1 << _BITS) - 1
 
+# the audit every _AUDIT_EVERY events rescales when the largest mass is
+# outside [_RESCALE_LO, _RESCALE_HI]; the event loops call it at once for
+# a forward mass read at or above _GUARD_HI, or a mass written at or above
+# _GUARD_HI (dual) or positive below _GUARD_LO, before doubles overflow or
+# underflow to a false death
 _RESCALE_HI = 1e200
 _RESCALE_LO = 1e-200
+_GUARD_HI = 1e250
+_GUARD_LO = 1e-250
 _AUDIT_EVERY = 4096
-_FIRST_CHUNK = 256
-_MAX_CHUNK = 8192
+# the stream is drawn _MIN_DRAW uniforms or more at a time, so a short
+# block seldom calls the generator
+_MIN_DRAW = 768
+_BLOCK_SLACK = 16
 
 
 class EngineError(RuntimeError):
@@ -127,7 +144,7 @@ class _KernelTables:
                               if u != zero)))
             dualrd.append(tuple((_pack_delta(u), v) for u, v in sorted(vec.items())))
         cum[-1] = 1.0 + 1e-15
-        self.atom_cum = cum
+        self.atom_cum = np.array(cum)
         self.atoms_fwd = fwd
         self.atoms_dual = dualrd
         # dual proposals: per (u, a) with u in R_a, (packed u, atom index,
@@ -142,19 +159,11 @@ class _KernelTables:
                               tuple(_pack_delta(v) for v in reads[:k])))
                 weights.append(p)
         self.dual_rate = math.fsum(weights)  # Q, per occupied site; 0 if no reads
-        self.pair_cum = [c / self.dual_rate for c in accumulate(weights)]
+        pair_cum = [c / self.dual_rate for c in accumulate(weights)]
         if pairs:
-            self.pair_cum[-1] = 1.0 + 1e-15
+            pair_cum[-1] = 1.0 + 1e-15
+        self.pair_cum = np.array(pair_cum)
         self.dual_pairs = pairs
-
-
-def _uniform_chunks(rng):
-    """Uniforms of rng as lists of Python floats, in chunks doubling from
-    _FIRST_CHUNK to _MAX_CHUNK; the values do not depend on the chunking."""
-    n = _FIRST_CHUNK
-    while True:
-        yield rng.random(n).tolist()
-        n = min(2 * n, _MAX_CHUNK)
 
 
 class ProcessState:
@@ -188,12 +197,25 @@ class ProcessState:
         # pick and swap-remove
         self._active = list(self.masses)
         self._active_pos = {key: i for i, key in enumerate(self._active)}
+        self.peak_occupied = len(self._active)  # the largest count so far
 
-        rng = seeded_rng(seed)
-        # the stream's uniforms, strictly in order, one Python float a call
-        self._uniform = chain.from_iterable(_uniform_chunks(rng)).__next__
+        self._rng = seeded_rng(seed)
+        # uniforms drawn from _rng and not yet used, in stream order
+        self._unread = np.empty(0)
         self._events = 0
         self._trace = None  # set to a list to record (site, atom, mass) per event
+
+    def _read_block(self, m):
+        """The next 3m unused uniforms of the stream as an (m, 3) array,
+        one row per event or proposal: wait, site, then atom or pair.
+        Reading consumes nothing; ``advance`` drops from ``_unread`` what
+        its events used.  The values do not depend on the block sizes."""
+        need = 3 * m - len(self._unread)
+        if need > 0:
+            fresh = self._rng.random(max(need, _MIN_DRAW))
+            self._unread = (np.concatenate((self._unread, fresh))
+                            if len(self._unread) else fresh)
+        return self._unread[:3 * m].reshape(m, 3)
 
     # -- audits ----------------------------------------------------------
 
@@ -217,11 +239,15 @@ class ProcessState:
     def advance(self, duration):
         """Run the events of the next ``duration`` time units.
 
-        The loop state lives in locals and is written back on exit; the
-        active-set updates are inlined.  Each forward event, and each dual
-        proposal, accepted or not, draws three uniforms in stream order:
-        waiting time, occupied site, then the atom (forward) or the pair
-        (u, a) (dual)."""
+        Each forward event, and each dual proposal, accepted or not, takes
+        three uniforms in stream order: waiting time, occupied site, then
+        the atom (forward) or the pair (u, a) (dual).  They are read a
+        block of events at a time, sized from the expected event count and
+        ended at the next audit, and each block's logarithms, site
+        uniforms and atom or pair picks are prepared before its events
+        run; what the events leave unused stays for the next block.  The
+        loop state lives in locals and is written back on exit; the
+        active-set updates are inlined."""
         if duration < 0:
             raise EngineError("duration must be nonnegative")
         target = self.t + duration
@@ -233,132 +259,169 @@ class ProcessState:
         get = masses.get
         active = self._active
         pos = self._active_pos
-        u = self._uniform
         tables = self._tables
         log = math.log
         trace = self._trace
         cap = self.max_occupied
+        # the count peaks just before it falls, or at the end
+        peak = self.peak_occupied
+        stop = target  # pulled to -inf by growth past the cap: truncation
+        guard_lo, guard_hi = _GUARD_LO, _GUARD_HI
         t = self.t
         events = self._events
         n = len(active)
+        if self.dual:
+            rate, cum = tables.dual_rate, tables.pair_cum
+        else:
+            rate, cum = 1.0, tables.atom_cum
         try:
-            if self.dual:
-                atoms = tables.atoms_dual
-                pairs = tables.dual_pairs
-                pcum = tables.pair_cum
-                rate = tables.dual_rate
-                while True:
-                    if n == 0:
-                        self.extinct = True
-                        t = target
-                        break
-                    dt = -log(1.0 - u()) / (n * rate)
-                    if t + dt >= target:
-                        t = target
-                        break
-                    t += dt
-                    y = active[int(u() * n)]
-                    off, ai, before = pairs[bisect_right(pcum, u())]
-                    z = y - off
-                    blocked = False
-                    for dv in before:  # (z, a) fires from its first occupied read
-                        if z + dv in masses:
-                            blocked = True
+            while True:
+                due = events - events % _AUDIT_EVERY + _AUDIT_EVERY
+                # the expected event count, plus room for growth during a
+                # short advance; one event when already past the cap (a cap
+                # below the start), since the next event decides truncation
+                size = 1 if n > cap else min(
+                    due - events, int(n * rate * (target - t)) + _BLOCK_SLACK)
+                block = self._read_block(size)
+                # math.log, as per event: np.log differs in the last bit
+                # for some arguments; searchsorted "right" is bisect_right
+                waits = list(map(log, (1.0 - block[:, 0]).tolist()))
+                sites = block[:, 1].tolist()
+                picks = cum.searchsorted(block[:, 2], side="right").tolist()
+                start = events
+                skipped = 0  # blocked dual proposals
+                if self.dual:
+                    atoms = tables.atoms_dual
+                    for lw, us, (off, ai, before) in zip(
+                            waits, sites, map(tables.dual_pairs.__getitem__, picks)):
+                        dt = -lw / (n * rate)
+                        if t + dt >= stop:
                             break
-                    if blocked:
-                        continue
-                    new = 0.0
-                    for du, val in atoms[ai]:
-                        m = get(z + du)
-                        if m is not None:
-                            new += val * m
-                    old = get(z)
-                    if trace is not None:
-                        trace.append((z, ai, old if old is not None else 0.0))
-                    if new > 0.0:
-                        masses[z] = new
-                        if old is None:
-                            pos[z] = n
-                            active.append(z)
-                            n += 1
-                    elif old is not None:
-                        del masses[z]
-                        n -= 1
-                        p = pos.pop(z)
-                        last = active.pop()
-                        if last != z:
-                            active[p] = last
-                            pos[last] = p
-                    events += 1
-                    if new >= 1e250:  # rescale before doubles can overflow
-                        self.t = t
-                        self._audit()
-                    if not events % _AUDIT_EVERY:
-                        self.t = t
-                        self._audit()
-                    if n > cap:
-                        self.truncated = True
-                        break
-            else:
-                atoms = tables.atoms_fwd
-                cum = tables.atom_cum
-                while True:
-                    if n == 0:
-                        self.extinct = True
-                        t = target
-                        break
-                    dt = -log(1.0 - u()) / n
-                    if t + dt >= target:
-                        t = target
-                        break
-                    t += dt
-                    z = active[int(u() * n)]
-                    ai = bisect_right(cum, u())
-                    k0, entries = atoms[ai]
-                    mz = masses[z]
-                    if trace is not None:
-                        trace.append((z, ai, mz))
-                    for du, val in entries:
-                        y = z + du
-                        m = get(y)
-                        if m is None:
-                            masses[y] = val * mz
-                            pos[y] = n
-                            active.append(y)
-                            n += 1
-                        else:
-                            masses[y] = m + val * mz
-                    if k0 != 1.0:
-                        m = k0 * mz
-                        if m > 0.0:
-                            masses[z] = m
-                        else:  # death, or underflow below double range
+                        t += dt
+                        z = active[int(us * n)] - off
+                        blocked = False
+                        for dv in before:  # (z, a) fires from its first occupied read
+                            if z + dv in masses:
+                                blocked = True
+                                break
+                        if blocked:
+                            skipped += 1
+                            continue
+                        events += 1
+                        new = 0.0
+                        for du, val in atoms[ai]:
+                            m = get(z + du)
+                            if m is not None:
+                                new += val * m
+                        old = get(z)
+                        if trace is not None:
+                            trace.append((z, ai, old if old is not None else 0.0))
+                        if new > 0.0:
+                            masses[z] = new
+                            if old is None:
+                                pos[z] = n
+                                active.append(z)
+                                n += 1
+                                if n > cap:
+                                    stop = -math.inf
+                            # rescale before doubles overflow or underflow
+                            if new >= guard_hi or new < guard_lo:
+                                self.t = t
+                                self._audit()
+                        elif old is not None:
                             del masses[z]
+                            if n > peak:
+                                peak = n
                             n -= 1
                             p = pos.pop(z)
                             last = active.pop()
                             if last != z:
                                 active[p] = last
                                 pos[last] = p
-                    events += 1
-                    if mz >= 1e250:  # rescale before doubles can overflow
-                        self.t = t
-                        self._audit()
-                    if not events % _AUDIT_EVERY:
-                        self.t = t
-                        self._audit()
-                    if n > cap:
+                            if not n:
+                                break
+                else:
+                    atoms = tables.atoms_fwd
+                    for lw, us, ai in zip(waits, sites, picks):
+                        dt = -lw / n
+                        if t + dt >= stop:
+                            break
+                        t += dt
+                        events += 1
+                        z = active[int(us * n)]
+                        k0, entries = atoms[ai]
+                        mz = masses[z]
+                        if trace is not None:
+                            trace.append((z, ai, mz))
+                        for du, val in entries:
+                            y = z + du
+                            m = get(y)
+                            if m is None:
+                                masses[y] = val * mz
+                                pos[y] = n
+                                active.append(y)
+                                n += 1
+                                if n > cap:
+                                    stop = -math.inf
+                            else:
+                                masses[y] = m + val * mz
+                        if k0 != 1.0:
+                            m = k0 * mz
+                            if m >= guard_lo:
+                                masses[z] = m
+                            elif m > 0.0:  # rescale before it underflows to 0
+                                masses[z] = m
+                                self.t = t
+                                self._audit()
+                            else:  # death
+                                del masses[z]
+                                if n > peak:
+                                    peak = n
+                                n -= 1
+                                p = pos.pop(z)
+                                last = active.pop()
+                                if last != z:
+                                    active[p] = last
+                                    pos[last] = p
+                                if not n:
+                                    break
+                        if mz >= guard_hi:  # rescale before doubles can overflow
+                            self.t = t
+                            self._audit()
+                # events and proposals run in full; the wait that passed the
+                # target, if one did, is one more uniform
+                used = events - start + skipped
+                self._unread = self._unread[3 * used:]
+                if not n:
+                    if n > cap:  # a negative cap truncates even at 0
                         self.truncated = True
-                        break
+                    else:
+                        self.extinct = True
+                        t = target
+                    break
+                if used < size and stop == target:  # a wait passed the target
+                    self._unread = self._unread[1:]
+                    t = target
+                    break
+                if events == due:
+                    self.t = t
+                    self._audit()
+                if n > cap and events > start:  # not for a blocked proposal
+                    self.truncated = True
+                    break
+                stop = target  # an event can undo its own growth past the cap
         finally:
             self.t = t
             self._events = events
+            self.peak_occupied = max(peak, n)
         return self
 
     # -- observables -------------------------------------------------------
 
     def site_array(self):
-        """(coords, masses) as numpy arrays, in packed-key order."""
+        """(coords, masses) as numpy arrays, in the insertion order of the
+        ``masses`` dict; that order fixes the float order of the sums in
+        ``observables``."""
         n = len(self.masses)
         keys = np.fromiter(self.masses, dtype=np.int64, count=n)
         shifts = _BITS * np.arange(self.d)
@@ -471,8 +534,9 @@ class EnsembleSummary:
     the record time; survival-at-t is the finite-time proxy for surviving
     forever, recorded as such in the metadata).  ``rows`` holds every
     replica's records, truncated ones included, and ``diagnostics`` what
-    the pass cost ("events": engine events over all replicas); neither is
-    part of ``to_dict``.
+    the pass cost ("events": engine events over all replicas;
+    "peak_occupied": the largest occupied-site count any replica reached,
+    truncated ones included); neither is part of ``to_dict``.
     """
     t_grid: tuple
     replicas: int
@@ -528,7 +592,8 @@ def _record_row(rec, d, battery_names):
 def _run_replicas(kernel_dict, initial, t_grid, dual, base_seed, lo, hi,
                   max_occupied, battery_spec):
     """Worker: trajectories for replicas [lo, hi); returns raw rows, engine
-    clocks, the count of recorded grid times and the total event count."""
+    clocks, the count of recorded grid times, the total event count and
+    the largest occupied-site count any of its replicas reached."""
     kernel = Kernel.from_dict(kernel_dict)
     tables = _KernelTables(kernel)
     test_functions = battery_spec(kernel) if battery_spec else {}
@@ -537,7 +602,7 @@ def _run_replicas(kernel_dict, initial, t_grid, dual, base_seed, lo, hi,
     out = np.zeros((hi - lo, len(t_grid), len(_scalar_names(d, battery_names))))
     clock = np.zeros((hi - lo, len(t_grid)))
     recorded = np.zeros(hi - lo, dtype=np.int64)
-    events = 0
+    events = peak = 0
     for r in range(lo, hi):
         state = init_state(tables, initial, dual=dual,
                            seed=replica_seed(base_seed, r))
@@ -553,7 +618,8 @@ def _run_replicas(kernel_dict, initial, t_grid, dual, base_seed, lo, hi,
             clock[r - lo, j] = rec.t
             recorded[r - lo] = j + 1
         events += state._events
-    return out, clock, recorded, events
+        peak = max(peak, state.peak_occupied)
+    return out, clock, recorded, events, peak
 
 
 def run_ensemble(kernel: Kernel, initial, t_grid, replicas, base_seed,
@@ -587,7 +653,7 @@ def run_ensemble(kernel: Kernel, initial, t_grid, replicas, base_seed,
     else:
         parts = [_run_replicas_star(a) for a in args]
 
-    *columns, events = zip(*parts)
+    *columns, events, peaks = zip(*parts)
     rows = ReplicaRows(names, *map(np.concatenate, columns))
     keep = rows.recorded == len(t_grid)
     surv = rows.values[keep, :, names.index("occupied")] > 0
@@ -615,7 +681,7 @@ def run_ensemble(kernel: Kernel, initial, t_grid, replicas, base_seed,
             "battery": battery_names,
         },
         rows=rows,
-        diagnostics={"events": sum(events)},
+        diagnostics={"events": sum(events), "peak_occupied": max(peaks)},
     )
 
 

@@ -135,6 +135,7 @@ def test_cli_dual_diagnostics_beside_artifacts(tmp_path, command, artifact):
     assert blobs[0] == blobs[1] == blobs[2]
     diag = json.loads(blobs[0][1])
     assert diag == {"events": diag["events"], "truncated": diag["truncated"],
+                    "peak_occupied": 13,
                     "numpy": numpy.__version__, "scipy": scipy.__version__}
     assert diag["events"] > 0 and diag["truncated"] > 0
     assert "diagnostics" not in json.loads(blobs[0][0])

@@ -127,11 +127,12 @@ def test_death_atom_extinction_is_absorbing():
 
 def test_first_event_time_exponential():
     # single occupied site: one rate-1 clock; the first waiting time is the
-    # first uniform of the state's own stream through -log(1-u)
+    # first uniform of the state's own stream, read as the first block's
+    # wait, through -log(1-u)
     waits = []
     for seed in range(10_000):
         st = init_state(BCPP3, [(ORIGIN3, 1.0)], seed=seed)
-        waits.append(-math.log(1.0 - st._uniform()))
+        waits.append(-math.log(1.0 - float(st._read_block(1)[0, 0])))
     waits = np.sort(waits)
     # Kolmogorov-Smirnov against Exp(1) at the 1% level
     n = len(waits)
@@ -357,7 +358,7 @@ def test_dual_identity_kernel_noop_ensemble():
     assert np.allclose(st["mean"], 4.0) and np.allclose(st["var"], 0.0)
     assert np.allclose(s.stat("occupied", "all")["mean"], 2.0)
     assert np.allclose(s.survival_fraction, 1.0)
-    assert s.diagnostics == {"events": 0}
+    assert s.diagnostics == {"events": 0, "peak_occupied": 2}
     state = init_state(ident, init, dual=True, seed=4)
     state.advance(2.0)
     assert state.t == 2.0 and not state.extinct and state._events == 0
@@ -382,7 +383,9 @@ def test_dual_threads_do_not_change_results():
 
 
 def test_diagnostics_count_every_replica_event():
-    # truncated replicas included; the count stays out of to_dict
+    # truncated replicas included; the counts stay out of to_dict.  A BCPP
+    # event adds at most one site, so a truncated replica peaks at the cap
+    # plus one
     s = run_ensemble(BCPP3, [(ORIGIN3, 1.0)], [1.0, 3.0, 6.0], 40, base_seed=5,
                      max_occupied=8)
     assert s.truncated > 0
@@ -393,8 +396,17 @@ def test_diagnostics_count_every_replica_event():
         for t in (1.0, 2.0, 3.0):
             st.advance(t)
         events += st._events
-    assert s.diagnostics == {"events": events}
+    assert s.diagnostics == {"events": events, "peak_occupied": 9}
     assert "diagnostics" not in s.to_dict()
+
+
+def test_peak_occupied_of_a_growing_process():
+    # a branch-only kernel never empties a site, so every replica peaks at
+    # its last record
+    branch = Kernel(1, [(1.0, {(0,): 1.0, (1,): 1.0})])
+    s = run_ensemble(branch, [((0,), 1.0)], [0.5, 2.0], 30, base_seed=6)
+    occupied = s.rows.values[:, -1, s.rows.names.index("occupied")]
+    assert s.diagnostics["peak_occupied"] == occupied.max() > 1
 
 
 # sha256 of the to_dict JSON and the ReplicaRows arrays of four runs and of
@@ -453,6 +465,52 @@ def test_event_trace_matches_golden(dual, seed, duration, events, digest):
     assert hashlib.sha256(repr(st._trace).encode()).hexdigest() == digest
 
 
+CUBE3 = [((x, y, z), 1.0) for x in (-1, 0, 1) for y in (-1, 0, 1)
+         for z in (-1, 0, 1)]
+
+
+@pytest.mark.parametrize("dual, events, digest", [
+    (False, 5284,
+     "5e81498e8e23cd1907ce8b0712ef400ff8c7edee05c2384e1b738e8c422a8dc9"),
+    (True, 5196,
+     "c9292fa8ca0fc67f1f4746536d8957587ecbee9f2f5649beccf70b7961c78d49"),
+], ids=["forward", "dual"])
+def test_stream_position_at_every_advance(dual, events, digest):
+    # the events, masses, clock and event count after each of 60 short
+    # advances: the stream position at every advance boundary, across an
+    # audit at event 4096
+    st = init_state(BCPP3, CUBE3, dual=dual, seed=2)
+    st._trace = []
+    h = hashlib.sha256()
+    for _ in range(60):
+        done = len(st._trace)
+        st.advance(0.25)
+        h.update(repr((st._trace[done:], list(st.masses.items()), st.t.hex(),
+                       st.log_scale.hex(), st._events)).encode())
+    assert st._events == events
+    assert h.hexdigest() == digest
+
+
+@pytest.mark.parametrize("dual", [False, True], ids=["forward", "dual"])
+def test_audit_placement(dual):
+    # every event multiplies the one mass by 0.88, so each audit finds it
+    # near 1e-227 and rescales: the bits of log_scale pin the events at
+    # which the audits ran
+    st = init_state(Kernel(1, [(1.0, {(0,): 0.88})]), [((0,), 1.0)],
+                    dual=dual, seed=3)
+    seen = []
+    for _ in range(7):
+        st.advance(2000.0)
+        seen.append((st._events, st.log_scale.hex()))
+    assert seen == [(2049, "0x0.0p+0"), (4034, "0x0.0p+0"),
+                    (6004, "-0x1.05cd80afc76bep+9"),
+                    (7941, "-0x1.05cd80afc76bep+9"),
+                    (9989, "-0x1.05cd80afc76bep+10"),
+                    (11969, "-0x1.05cd80afc76bep+10"),
+                    (13985, "-0x1.88b44107ab21dp+10")]
+    assert [m.hex() for m in st.masses.values()] == [(6.124838459719726e-95).hex()]
+
+
 def test_seed_changes_results():
     s1 = run_ensemble(BCPP3, [(ORIGIN3, 1.0)], [1.0], 100, base_seed=1)
     s2 = run_ensemble(BCPP3, [(ORIGIN3, 1.0)], [1.0], 100, base_seed=2)
@@ -480,6 +538,20 @@ def test_rescaling_preserves_normalization():
 
 def test_dual_rescaling_preserves_normalization():
     _assert_rescaling_preserves_normalization(dual=True)
+
+
+@pytest.mark.parametrize("dual", [False, True], ids=["forward", "dual"])
+def test_underflow_is_not_extinction(dual):
+    # halving the one mass at every event reaches 0.0 after 1075 events,
+    # long before the periodic audit, unless the loop rescales first; the
+    # process itself never dies
+    st = init_state(Kernel(1, [(1.0, {(0,): 0.5})]), [((0,), 1.0)],
+                    dual=dual, seed=3)
+    st.advance(2000.0)
+    assert not st.extinct and st._events > 1075
+    got = math.log(math.fsum(st.masses.values())) + st.log_scale
+    expected = st._events * math.log(0.5)
+    assert abs(got - expected) <= 1e-9 * abs(expected)
 
 
 def test_resource_cap_truncates():
