@@ -260,16 +260,33 @@ def _out_path(cfg, name):
 
 
 def _emit_diagnostics(cfg, summary):
-    """diagnostics.json beside the artifacts: what the ensemble pass did and
-    the library versions its streams depend on; no wall time, so its bytes
-    are as deterministic as the payload's."""
+    """diagnostics.json beside the artifacts: what the ensemble pass did,
+    the tail of |etabar_t|^2 and the library versions its streams depend
+    on; no wall time, so its bytes are as deterministic as the payload's."""
     path = _out_path(cfg, "diagnostics.json")
     if path:
         import scipy  # the top level only: no submodule loads
         _emit({"events": summary.diagnostics["events"],
                "truncated": summary.truncated,
                "peak_occupied": summary.diagnostics["peak_occupied"],
+               "normalized_total_sq_tail": _tail_health(summary),
                "numpy": np.__version__, "scipy": scipy.__version__}, path)
+
+
+def _tail_health(summary):
+    """Per grid time, over the replicas the summary's statistics use: the
+    Hill index of |etabar_t|^2 (null below 201 replicas), the top 1% of
+    replicas' share of its sum, and whether the index is below 2, where
+    |etabar_t|^2 has infinite variance and the standard error of its mean
+    is no error bar."""
+    rows = summary.rows
+    keep = rows.recorded == len(summary.t_grid)
+    sq = rows.values[keep, :, rows.names.index("normalized_total_sq")]
+    hill = [fk.hill_index(col) for col in sq.T]
+    return {"hill_index": hill,
+            "top_1pct_share": [stats._top_share(col, 0.01) for col in sq.T],
+            "hill_index_below_2": [None if np.isnan(h) else h < 2.0
+                                   for h in hill]}
 
 
 # ---------------------------------------------------------------------------
@@ -305,11 +322,11 @@ def _cmd_green(cfg):
     return 0
 
 
-def _ensemble(cfg, battery=None):
+def _ensemble(cfg, battery=None, densities=True):
     return engine.run_ensemble(
         cfg.kernel, cfg.initial, cfg.t_grid, cfg.replicas, cfg.seed,
         dual=cfg.dual, threads=cfg.threads, max_occupied=cfg.max_occupied,
-        battery=battery)
+        battery=battery, densities=densities)
 
 
 def _cmd_simulate(cfg):
@@ -386,7 +403,7 @@ def _report(cfg, name, results):
 
 
 def _cmd_verify_martingale(cfg):
-    summary = _ensemble(cfg)
+    summary = _ensemble(cfg, densities=False)  # the check reads totals only
     _emit_diagnostics(cfg, summary)
     return _report(cfg, "verify_martingale", stats.martingale_check(
         summary, **_tolerances(cfg, k="k")))

@@ -67,9 +67,9 @@ _MASK = (1 << _BITS) - 1
 
 # the audit every _AUDIT_EVERY events rescales when the largest mass is
 # outside [_RESCALE_LO, _RESCALE_HI]; the event loops call it at once for
-# a forward mass read at or above _GUARD_HI, or a mass written at or above
-# _GUARD_HI (dual) or positive below _GUARD_LO, before doubles overflow or
-# underflow to a false death
+# a forward mass read outside [_GUARD_LO, _GUARD_HI), or a mass written at
+# or above _GUARD_HI (dual) or positive below _GUARD_LO, before doubles
+# overflow or underflow to a false death
 _RESCALE_HI = 1e200
 _RESCALE_LO = 1e-200
 _GUARD_HI = 1e250
@@ -357,12 +357,14 @@ class ProcessState:
                             y = z + du
                             m = get(y)
                             if m is None:
-                                masses[y] = val * mz
-                                pos[y] = n
-                                active.append(y)
-                                n += 1
-                                if n > cap:
-                                    stop = -math.inf
+                                w = val * mz
+                                if w > 0.0:  # a write that underflows occupies nothing
+                                    masses[y] = w
+                                    pos[y] = n
+                                    active.append(y)
+                                    n += 1
+                                    if n > cap:
+                                        stop = -math.inf
                             else:
                                 masses[y] = m + val * mz
                         if k0 != 1.0:
@@ -385,7 +387,9 @@ class ProcessState:
                                     pos[last] = p
                                 if not n:
                                     break
-                        if mz >= guard_hi:  # rescale before doubles can overflow
+                        # rescale before doubles overflow, or before the
+                        # writes from a small mass underflow
+                        if mz >= guard_hi or mz < guard_lo:
                             self.t = t
                             self._audit()
                 # events and proposals run in full; the wait that passed the
@@ -418,15 +422,18 @@ class ProcessState:
 
     # -- observables -------------------------------------------------------
 
+    def site_coords(self):
+        """The occupied sites' coordinates as an (n, d) int array, in the
+        insertion order of the ``masses`` dict."""
+        keys = np.fromiter(self.masses, dtype=np.int64, count=len(self.masses))
+        return ((keys[:, None] >> (_BITS * np.arange(self.d))) & _MASK) - _OFF
+
     def site_array(self):
         """(coords, masses) as numpy arrays, in the insertion order of the
         ``masses`` dict; that order fixes the float order of the sums in
         ``observables``."""
-        n = len(self.masses)
-        keys = np.fromiter(self.masses, dtype=np.int64, count=n)
-        shifts = _BITS * np.arange(self.d)
-        coords = ((keys[:, None] >> shifts) & _MASK) - _OFF
-        return coords, np.fromiter(self.masses.values(), dtype=float, count=n)
+        return self.site_coords(), np.fromiter(
+            self.masses.values(), dtype=float, count=len(self.masses))
 
 
 def replica_seed(base_seed, r):
@@ -469,7 +476,8 @@ def observables(state: ProcessState, test_functions=None) -> ObservableRecord:
     rho_x = eta_x/|eta|; rho_star = max rho; overlap = sum rho^2.  The
     weighted moments are sum_x xhat^{(k)} rho_x with
     xhat = (x - m t)/sqrt(t) centered by the kernel drift (scale 1 at
-    t = 0).  Extinction gives the all-zero record.
+    t = 0).  Extinction gives the all-zero record; a site at the
+    coordinate range limit raises CorruptStateError.
     """
     d = state.d
     if not state.masses:
@@ -479,9 +487,7 @@ def observables(state: ProcessState, test_functions=None) -> ObservableRecord:
             weighted_moment_2=np.zeros((d, d)), extinct=True,
             battery={name: 0.0 for name in (test_functions or {})})
     coords, vals = state.site_array()
-    if np.max(np.abs(coords)) >= _OFF - 64:
-        raise CorruptStateError("configuration reached the coordinate range limit")
-    total = math.fsum(vals)
+    total, normalized_total = _checked_total(state, coords)
     rho = vals / total
     scale = math.sqrt(state.t) if state.t > 0 else 1.0
     xhat = (coords - state.drift * state.t) / scale
@@ -493,7 +499,7 @@ def observables(state: ProcessState, test_functions=None) -> ObservableRecord:
             battery[name] = float(rho @ f(xhat, scale))
     return ObservableRecord(
         t=state.t,
-        normalized_total=total * math.exp(state.log_scale - state.kappa1 * state.t),
+        normalized_total=normalized_total,
         rho_star=float(rho.max()),
         overlap=float(rho @ rho),
         occupied=len(vals),
@@ -502,6 +508,17 @@ def observables(state: ProcessState, test_functions=None) -> ObservableRecord:
         extinct=False,
         battery=battery,
     )
+
+
+def _checked_total(state: ProcessState, coords):
+    """(total, normalized total) of the configuration whose sites are
+    ``coords``: the masses' fsum (correctly rounded, so in any order) and
+    that times exp(log_scale - kappa_1 t).  A site at the coordinate range
+    limit raises CorruptStateError."""
+    if len(coords) and abs(coords).max() >= _OFF - 64:
+        raise CorruptStateError("configuration reached the coordinate range limit")
+    total = math.fsum(state.masses.values())
+    return total, total * math.exp(state.log_scale - state.kappa1 * state.t)
 
 
 # ---------------------------------------------------------------------------
@@ -580,6 +597,16 @@ def _scalar_names(d, battery_names):
     return names
 
 
+_TOTAL_NAMES = ["normalized_total", "normalized_total_sq", "occupied"]
+
+
+def _totals_row(state):
+    """The ``_TOTAL_NAMES`` columns of the current configuration: the same
+    values as the full record's, without its density observables."""
+    _, total = _checked_total(state, state.site_coords())
+    return [total, total**2, float(len(state.masses))]
+
+
 def _record_row(rec, d, battery_names):
     row = [rec.normalized_total, rec.normalized_total**2, rec.rho_star,
            rec.overlap, float(rec.occupied)]
@@ -590,7 +617,7 @@ def _record_row(rec, d, battery_names):
 
 
 def _run_replicas(kernel_dict, initial, t_grid, dual, base_seed, lo, hi,
-                  max_occupied, battery_spec):
+                  max_occupied, battery_spec, densities):
     """Worker: trajectories for replicas [lo, hi); returns raw rows, engine
     clocks, the count of recorded grid times, the total event count and
     the largest occupied-site count any of its replicas reached."""
@@ -599,7 +626,8 @@ def _run_replicas(kernel_dict, initial, t_grid, dual, base_seed, lo, hi,
     test_functions = battery_spec(kernel) if battery_spec else {}
     battery_names = sorted(test_functions)
     d = kernel.d
-    out = np.zeros((hi - lo, len(t_grid), len(_scalar_names(d, battery_names))))
+    width = len(_scalar_names(d, battery_names) if densities else _TOTAL_NAMES)
+    out = np.zeros((hi - lo, len(t_grid), width))
     clock = np.zeros((hi - lo, len(t_grid)))
     recorded = np.zeros(hi - lo, dtype=np.int64)
     events = peak = 0
@@ -613,9 +641,12 @@ def _run_replicas(kernel_dict, initial, t_grid, dual, base_seed, lo, hi,
             prev = t
             if state.truncated:
                 break
-            rec = observables(state, test_functions)
-            out[r - lo, j] = _record_row(rec, d, battery_names)
-            clock[r - lo, j] = rec.t
+            if densities:
+                out[r - lo, j] = _record_row(observables(state, test_functions),
+                                             d, battery_names)
+            else:
+                out[r - lo, j] = _totals_row(state)
+            clock[r - lo, j] = state.t
             recorded[r - lo] = j + 1
         events += state._events
         peak = max(peak, state.peak_occupied)
@@ -624,12 +655,15 @@ def _run_replicas(kernel_dict, initial, t_grid, dual, base_seed, lo, hi,
 
 def run_ensemble(kernel: Kernel, initial, t_grid, replicas, base_seed,
                  dual=False, threads=1, max_occupied=5_000_000,
-                 battery=None) -> EnsembleSummary:
+                 battery=None, densities=True) -> EnsembleSummary:
     """Independent trajectories with per-replica streams (base_seed, r).
 
     ``battery`` is an optional factory kernel -> {name: f(xhat array)}
     evaluated on the normalized coordinates at every record; its per-
-    replica statistics land in ``stats["battery:<name>"]``.  Results are
+    replica statistics land in ``stats["battery:<name>"]``.  With
+    ``densities=False`` a record holds only the ``_TOTAL_NAMES`` columns,
+    bit for bit those of the full record, and ``observables`` is never
+    called; a battery then has nothing to read.  Results are
     byte-identical for any thread count: replica r always uses the stream
     derived from (base_seed, r) and the reduction runs in replica order.
     """
@@ -638,14 +672,17 @@ def run_ensemble(kernel: Kernel, initial, t_grid, replicas, base_seed,
         raise EngineError("t_grid must be a nonempty increasing list")
     if replicas < 1:
         raise EngineError("replicas must be >= 1")
+    if battery and not densities:
+        raise EngineError("a battery needs the density records (densities=True)")
     kern_dict = kernel.to_dict()
     battery_names = sorted(battery(kernel)) if battery else []
-    names = _scalar_names(kernel.d, battery_names)
+    names = (_scalar_names(kernel.d, battery_names) if densities
+             else list(_TOTAL_NAMES))
 
     chunk = max(64, (replicas + 4 * max(threads, 1) - 1) // (4 * max(threads, 1)))
     jobs = [(lo, min(lo + chunk, replicas)) for lo in range(0, replicas, chunk)]
     args = [(kern_dict, list(initial), t_grid, dual, base_seed, lo, hi,
-             max_occupied, battery) for lo, hi in jobs]
+             max_occupied, battery, densities) for lo, hi in jobs]
     if threads > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=threads) as ex:

@@ -134,10 +134,14 @@ def test_cli_dual_diagnostics_beside_artifacts(tmp_path, command, artifact):
                       (d / "diagnostics.json").read_bytes()))
     assert blobs[0] == blobs[1] == blobs[2]
     diag = json.loads(blobs[0][1])
+    # too few kept replicas for a Hill index
+    tail = {"hill_index": [None, None], "hill_index_below_2": [None, None],
+            "top_1pct_share": diag["normalized_total_sq_tail"]["top_1pct_share"]}
     assert diag == {"events": diag["events"], "truncated": diag["truncated"],
-                    "peak_occupied": 13,
+                    "peak_occupied": 13, "normalized_total_sq_tail": tail,
                     "numpy": numpy.__version__, "scipy": scipy.__version__}
     assert diag["events"] > 0 and diag["truncated"] > 0
+    assert all(0.0 < s <= 1.0 for s in tail["top_1pct_share"])
     assert "diagnostics" not in json.loads(blobs[0][0])
 
 
@@ -199,6 +203,24 @@ def test_cli_simulate_runs_each_replica_once(tmp_path, monkeypatch):
     assert rc == 0
     assert len(calls) == 25
     assert len((tmp_path / "trajectories.csv").read_text().splitlines()) == 51
+
+
+@pytest.mark.parametrize("dual", [False, True], ids=["forward", "dual"])
+def test_cli_verify_martingale_records_totals_only(tmp_path, monkeypatch, dual):
+    def no_observables(*args, **kwargs):
+        raise AssertionError("observables called")
+
+    monkeypatch.setattr(engine, "observables", no_observables)
+    cfg = {"bcpp": {"d": 3, "lambda": 1.0}, "t_grid": [0.5, 1.0],
+           "replicas": 300, "seed": 3, "dual": dual}
+    assert main(["verify-martingale", json.dumps(cfg), "--threads", "1",
+                 "--output-dir", str(tmp_path)]) in (0, 1)
+    diag = json.loads((tmp_path / "diagnostics.json").read_text())
+    hill = diag["normalized_total_sq_tail"]["hill_index"]
+    assert len(hill) == 2 and all(h > 0 for h in hill)
+    # the patch is seen: simulate records densities
+    with pytest.raises(AssertionError, match="observables called"):
+        main(["simulate", json.dumps(cfg), "--threads", "1"])
 
 
 @pytest.mark.parametrize("command", ["verify-martingale", "verify-clt"])

@@ -5,11 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from scipy.stats import ks_2samp
+
 from linsys.engine import (CorruptStateError, EngineError, init_state,
                            observables, run_ensemble, replica_seed,
                            pack_site, unpack_site)
 from linsys.kernel import Kernel, kernel_moments, make_bcpp_kernel
-from linsys import feynman_kac as fk, stats
+from linsys import engine, feynman_kac as fk, stats
 
 BCPP3 = make_bcpp_kernel(3, 1.0)
 ORIGIN3 = (0, 0, 0)
@@ -552,6 +554,109 @@ def test_underflow_is_not_extinction(dual):
     got = math.log(math.fsum(st.masses.values())) + st.log_scale
     expected = st._events * math.log(0.5)
     assert abs(got - expected) <= 1e-9 * abs(expected)
+
+
+def test_forward_neighbour_write_does_not_underflow():
+    # each event moves the one mass a site to the right and halves it; the
+    # read of a small mass rescales before the write can round to 0.0
+    halve_right = Kernel(1, [(1.0, {(1,): 0.5})])
+    st = init_state(halve_right, [((0,), 1.0)], seed=3)
+    st.advance(5000.0)
+    assert not st.extinct and st._events > 4096
+    got = math.log(math.fsum(st.masses.values())) + st.log_scale
+    expected = st._events * math.log(0.5)
+    assert abs(got - expected) <= 1e-9 * abs(expected)
+    # beside a large mass nothing rescales, so the tiny chain's write
+    # rounds to 0.0 at last: that must occupy no site
+    st = init_state(halve_right, [((0,), 1.0), ((10,), 1e-300)], seed=3)
+    st.advance(5000.0)
+    assert st.masses and min(st.masses.values()) > 0.0
+    assert sorted(st._active) == sorted(st.masses)
+
+
+def _far_ensemble(densities):
+    # the branch offset puts a child at the coordinate range limit
+    far = Kernel(1, [(1.0, {(0,): 1.0, (engine._OFF - 64,): 1.0})])
+    return run_ensemble(far, [((0,), 1.0)], [5.0], 4, base_seed=1,
+                        densities=densities)
+
+
+@pytest.mark.parametrize("densities", [True, False], ids=["full", "totals"])
+def test_range_check_in_both_record_kinds(densities):
+    with pytest.raises(CorruptStateError, match="coordinate range limit"):
+        _far_ensemble(densities)
+    for c in (engine._OFF - 64, 64 - engine._OFF):
+        st = init_state(BCPP3, [(ORIGIN3, 1.0)], seed=0)
+        st.masses[pack_site((0, c, 0))] = 1.0
+        with pytest.raises(CorruptStateError, match="coordinate range limit"):
+            observables(st) if densities else engine._totals_row(st)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("dual", [False, True], ids=["forward", "dual"])
+def test_totals_records_match_full_records(dual, threads):
+    # bit for bit the full record's columns, statistics and diagnostics,
+    # extinct and truncated replicas included
+    kwargs = dict(t_grid=[1.0, 3.0, 6.0], replicas=150, base_seed=41,
+                  dual=dual, threads=threads, max_occupied=40)
+    full = run_ensemble(BCPP3, [(ORIGIN3, 1.0)], **kwargs)
+    tot = run_ensemble(BCPP3, [(ORIGIN3, 1.0)], **kwargs, densities=False)
+    assert tot.rows.names == ["normalized_total", "normalized_total_sq",
+                              "occupied"]
+    cols = [full.rows.names.index(n) for n in tot.rows.names]
+    assert full.truncated > 0 and (tot.rows.values[:, :, 2] == 0).any()
+    assert full.rows.values[:, :, cols].tobytes() == tot.rows.values.tobytes()
+    assert full.rows.t.tobytes() == tot.rows.t.tobytes()
+    assert (full.rows.recorded == tot.rows.recorded).all()
+    assert full.diagnostics == tot.diagnostics
+    assert full.survival_fraction.tobytes() == tot.survival_fraction.tobytes()
+    for name in tot.rows.names:
+        for cond in ("all", "surviving"):
+            for key, v in tot.stats[name][cond].items():
+                assert v.tobytes() == full.stats[name][cond][key].tobytes()
+
+
+def test_battery_needs_density_records():
+    with pytest.raises(EngineError, match="densities"):
+        run_ensemble(BCPP3, [(ORIGIN3, 1.0)], [1.0], 10, base_seed=0,
+                     battery=stats.default_battery, densities=False)
+
+
+def _site_samples(initial, dual, sites, t, replicas, base_seed):
+    # unnormalized masses at the given sites: one row per replica
+    keys = [pack_site(s) for s in sites]
+    tables = engine._KernelTables(MULTI1)
+    out = np.empty((replicas, len(sites)))
+    for r in range(replicas):
+        st = init_state(tables, initial, dual=dual,
+                        seed=replica_seed(base_seed, r))
+        st.advance(t)
+        out[r] = [st.masses.get(k, 0.0) * math.exp(st.log_scale) for k in keys]
+    return out
+
+
+def test_dual_matches_forward_in_law():
+    # each event's dual map is the transpose of its forward map, and
+    # Poisson clocks are reversible in time, so <eta_t, g> from
+    # eta_0 = delta_0 has the law of zeta_t(0) from zeta_0 = g.  Second
+    # moments against the forward oracle's u(x, y) = E[eta_t(x) eta_t(y)],
+    # and the whole law by a two-sample KS test against the forward engine
+    t, n, x, y = 1.0, 20_000, 0, 1
+    sol = fk.oracle_two_point(MULTI1, [((0,), 1.0)], t, 14)
+    u = sol.u[-1]
+    ix, iy = sol.site_index[(x,)], sol.site_index[(y,)]
+    fwd_x, fwd_y = _site_samples([((0,), 1.0)], False, [(x,), (y,)], t, n,
+                                 4101).T
+    dual_y = _site_samples([((y,), 1.0)], True, [(0,)], t, n, 4102)[:, 0]
+    dual_xy = _site_samples([((x,), 1.0), ((y,), 1.0)], True, [(0,)], t, n,
+                            4103)[:, 0]
+    for sample, exact in [(dual_y, u[iy, iy]),
+                          (dual_xy, u[ix, ix] + u[iy, iy] + 2 * u[ix, iy])]:
+        sq = sample**2
+        se = sq.std(ddof=1) / math.sqrt(n)
+        assert abs(sq.mean() - exact) <= 3 * se, (sq.mean(), se, exact)
+    assert ks_2samp(fwd_y, dual_y).pvalue > 0.01
+    assert ks_2samp(fwd_x + fwd_y, dual_xy).pvalue > 0.01
 
 
 def test_resource_cap_truncates():
