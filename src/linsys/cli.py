@@ -261,32 +261,22 @@ def _out_path(cfg, name):
 
 def _emit_diagnostics(cfg, summary):
     """diagnostics.json beside the artifacts: what the ensemble pass did,
-    the tail of |etabar_t|^2 and the library versions its streams depend
-    on; no wall time, so its bytes are as deterministic as the payload's."""
+    the tail health of |etabar_t|^2 per grid time over the replicas the
+    statistics use, and the library versions its streams depend on; no
+    wall time, so its bytes are as deterministic as the payload's."""
     path = _out_path(cfg, "diagnostics.json")
     if path:
         import scipy  # the top level only: no submodule loads
+        rows = summary.rows
+        sq = rows.values[rows.recorded == len(summary.t_grid), :,
+                         rows.names.index("normalized_total_sq")]
+        tail = [stats.tail_health(col) for col in sq.T]
         _emit({"events": summary.diagnostics["events"],
                "truncated": summary.truncated,
                "peak_occupied": summary.diagnostics["peak_occupied"],
-               "normalized_total_sq_tail": _tail_health(summary),
+               "normalized_total_sq_tail": {key: [h[key] for h in tail]
+                                            for key in tail[0]},
                "numpy": np.__version__, "scipy": scipy.__version__}, path)
-
-
-def _tail_health(summary):
-    """Per grid time, over the replicas the summary's statistics use: the
-    Hill index of |etabar_t|^2 (null below 201 replicas), the top 1% of
-    replicas' share of its sum, and whether the index is below 2, where
-    |etabar_t|^2 has infinite variance and the standard error of its mean
-    is no error bar."""
-    rows = summary.rows
-    keep = rows.recorded == len(summary.t_grid)
-    sq = rows.values[keep, :, rows.names.index("normalized_total_sq")]
-    hill = [fk.hill_index(col) for col in sq.T]
-    return {"hill_index": hill,
-            "top_1pct_share": [stats._top_share(col, 0.01) for col in sq.T],
-            "hill_index_below_2": [None if np.isnan(h) else h < 2.0
-                                   for h in hill]}
 
 
 # ---------------------------------------------------------------------------

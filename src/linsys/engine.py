@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, starmap
 
 import numpy as np
 
@@ -65,8 +65,9 @@ _BITS = 21
 _OFF = 1 << 20
 _MASK = (1 << _BITS) - 1
 
-# the audit every _AUDIT_EVERY events rescales when the largest mass is
-# outside [_RESCALE_LO, _RESCALE_HI]; the event loops call it at once for
+# the audit every _AUDIT_EVERY events holds the sites inside the kernel's
+# coordinate range and rescales when the largest mass is outside
+# [_RESCALE_LO, _RESCALE_HI]; the event loops call it at once for
 # a forward mass read outside [_GUARD_LO, _GUARD_HI), or a mass written at
 # or above _GUARD_HI (dual) or positive below _GUARD_LO, before doubles
 # overflow or underflow to a false death
@@ -90,10 +91,7 @@ class CorruptStateError(EngineError):
 
 
 def pack_site(x):
-    key = 0
-    for i, c in enumerate(x):
-        key |= (c + _OFF) << (_BITS * i)
-    return key
+    return _pack_delta([c + _OFF for c in x])
 
 
 def unpack_site(key, d):
@@ -126,6 +124,14 @@ class _KernelTables:
 
     def __init__(self, kernel: Kernel):
         self.d = kernel.d
+        # a new site lies within r_K (l1) of an occupied one and the audit
+        # runs at every _AUDIT_EVERY-th event, so the sites it holds below
+        # limit stay in the packed fields (a dual read r_K further out
+        # cannot match another site's key)
+        self.r_K, self.limit = kernel.r_K, _OFF - _AUDIT_EVERY * kernel.r_K
+        if self.limit <= 0:
+            raise EngineError(f"the engine needs r_K < {_OFF // _AUDIT_EVERY}, "
+                              f"the kernel has r_K = {kernel.r_K}")
         mom = kernel_moments(kernel)
         self.kappa1 = mom.kappa1
         self.drift = mom.drift
@@ -180,8 +186,6 @@ class ProcessState:
         self.extinct = False
         self.truncated = False
         self.max_occupied = 5_000_000
-        self.kappa1 = tables.kappa1
-        self.drift = tables.drift
         self._tables = tables
 
         self.masses = {}
@@ -190,8 +194,9 @@ class ProcessState:
             if not 0 < m < math.inf:
                 raise EngineError(
                     f"initial mass at {x} must be finite and > 0, got {m}")
-            key = pack_site(_check_coords(x, self.d))
+            key = pack_site(_check_coords(x, self.d, tables.limit))
             self.masses[key] = self.masses.get(key, 0.0) + m
+        self._reach = max(abs(c) for x, _ in initial for c in x)  # largest |x_i|
 
         # the occupied sites as a list + position map, for O(1) uniform
         # pick and swap-remove
@@ -228,6 +233,13 @@ class ProcessState:
         if hi != hi or lo <= 0.0:
             raise CorruptStateError(
                 f"bad stored mass (max={hi}, min={lo}) at t={self.t}")
+        # the keys are unpacked only once r_K per event from the initial
+        # sites can reach the limit
+        limit = self._tables.limit
+        if (self._reach + self._events * self._tables.r_K >= limit
+                and abs(self.site_array()[0]).max() >= limit):
+            raise CorruptStateError(
+                f"a site reached the coordinate range limit {limit} at t={self.t}")
         if hi > _RESCALE_HI or hi < _RESCALE_LO:
             factor = 1.0 / hi
             for k in masses:
@@ -326,7 +338,7 @@ class ProcessState:
                                     stop = -math.inf
                             # rescale before doubles overflow or underflow
                             if new >= guard_hi or new < guard_lo:
-                                self.t = t
+                                self.t, self._events = t, events
                                 self._audit()
                         elif old is not None:
                             del masses[z]
@@ -373,7 +385,7 @@ class ProcessState:
                                 masses[z] = m
                             elif m > 0.0:  # rescale before it underflows to 0
                                 masses[z] = m
-                                self.t = t
+                                self.t, self._events = t, events
                                 self._audit()
                             else:  # death
                                 del masses[z]
@@ -390,7 +402,7 @@ class ProcessState:
                         # rescale before doubles overflow, or before the
                         # writes from a small mass underflow
                         if mz >= guard_hi or mz < guard_lo:
-                            self.t = t
+                            self.t, self._events = t, events
                             self._audit()
                 # events and proposals run in full; the wait that passed the
                 # target, if one did, is one more uniform
@@ -408,7 +420,7 @@ class ProcessState:
                     t = target
                     break
                 if events == due:
-                    self.t = t
+                    self.t, self._events = t, events
                     self._audit()
                 if n > cap and events > start:  # not for a blocked proposal
                     self.truncated = True
@@ -422,18 +434,14 @@ class ProcessState:
 
     # -- observables -------------------------------------------------------
 
-    def site_coords(self):
-        """The occupied sites' coordinates as an (n, d) int array, in the
-        insertion order of the ``masses`` dict."""
-        keys = np.fromiter(self.masses, dtype=np.int64, count=len(self.masses))
-        return ((keys[:, None] >> (_BITS * np.arange(self.d))) & _MASK) - _OFF
-
     def site_array(self):
-        """(coords, masses) as numpy arrays, in the insertion order of the
-        ``masses`` dict; that order fixes the float order of the sums in
-        ``observables``."""
-        return self.site_coords(), np.fromiter(
-            self.masses.values(), dtype=float, count=len(self.masses))
+        """(coords, masses) as numpy arrays, (n, d) ints and n floats, in the
+        insertion order of the ``masses`` dict; that order fixes the float
+        order of the sums in ``observables``."""
+        n = len(self.masses)
+        keys = np.fromiter(self.masses, dtype=np.int64, count=n)
+        return (((keys[:, None] >> (_BITS * np.arange(self.d))) & _MASK) - _OFF,
+                np.fromiter(self.masses.values(), dtype=float, count=n))
 
 
 def replica_seed(base_seed, r):
@@ -449,15 +457,15 @@ def seeded_rng(seed, *tag):
     return np.random.Generator(np.random.Philox(seed))
 
 
-def _check_coords(x, d):
+def _check_coords(x, d, limit):
     t = tuple(int(c) for c in x)
     if len(t) != d:
         raise EngineError(f"site {x} has dimension {len(t)}, kernel has {d}")
     # comparing with x itself rejects fractional coordinates
     if t != tuple(x):
         raise EngineError(f"site {x} has a non-integer coordinate")
-    if any(abs(c) >= _OFF - 64 for c in t):
-        raise EngineError(f"site {x} outside supported coordinate range")
+    if any(abs(c) >= limit for c in t):
+        raise EngineError(f"site {x} outside the coordinate range |x_i| < {limit}")
     return t
 
 
@@ -476,8 +484,7 @@ def observables(state: ProcessState, test_functions=None) -> ObservableRecord:
     rho_x = eta_x/|eta|; rho_star = max rho; overlap = sum rho^2.  The
     weighted moments are sum_x xhat^{(k)} rho_x with
     xhat = (x - m t)/sqrt(t) centered by the kernel drift (scale 1 at
-    t = 0).  Extinction gives the all-zero record; a site at the
-    coordinate range limit raises CorruptStateError.
+    t = 0).  Extinction gives the all-zero record.
     """
     d = state.d
     if not state.masses:
@@ -487,10 +494,10 @@ def observables(state: ProcessState, test_functions=None) -> ObservableRecord:
             weighted_moment_2=np.zeros((d, d)), extinct=True,
             battery={name: 0.0 for name in (test_functions or {})})
     coords, vals = state.site_array()
-    total, normalized_total = _checked_total(state, coords)
+    total, normalized_total = _totals(state)
     rho = vals / total
     scale = math.sqrt(state.t) if state.t > 0 else 1.0
-    xhat = (coords - state.drift * state.t) / scale
+    xhat = (coords - state._tables.drift * state.t) / scale
     m1 = rho @ xhat
     m2 = (xhat * rho[:, None]).T @ xhat
     battery = {}
@@ -510,15 +517,12 @@ def observables(state: ProcessState, test_functions=None) -> ObservableRecord:
     )
 
 
-def _checked_total(state: ProcessState, coords):
-    """(total, normalized total) of the configuration whose sites are
-    ``coords``: the masses' fsum (correctly rounded, so in any order) and
-    that times exp(log_scale - kappa_1 t).  A site at the coordinate range
-    limit raises CorruptStateError."""
-    if len(coords) and abs(coords).max() >= _OFF - 64:
-        raise CorruptStateError("configuration reached the coordinate range limit")
+def _totals(state: ProcessState):
+    """(total, normalized total) of the configuration: the masses' fsum
+    (correctly rounded, so in any order) and that times
+    exp(log_scale - kappa_1 t)."""
     total = math.fsum(state.masses.values())
-    return total, total * math.exp(state.log_scale - state.kappa1 * state.t)
+    return total, total * math.exp(state.log_scale - state._tables.kappa1 * state.t)
 
 
 # ---------------------------------------------------------------------------
@@ -603,7 +607,7 @@ _TOTAL_NAMES = ["normalized_total", "normalized_total_sq", "occupied"]
 def _totals_row(state):
     """The ``_TOTAL_NAMES`` columns of the current configuration: the same
     values as the full record's, without its density observables."""
-    _, total = _checked_total(state, state.site_coords())
+    _, total = _totals(state)
     return [total, total**2, float(len(state.masses))]
 
 
@@ -686,9 +690,9 @@ def run_ensemble(kernel: Kernel, initial, t_grid, replicas, base_seed,
     if threads > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=threads) as ex:
-            parts = list(ex.map(_run_replicas_star, args))
+            parts = list(ex.map(_run_replicas, *zip(*args)))
     else:
-        parts = [_run_replicas_star(a) for a in args]
+        parts = list(starmap(_run_replicas, args))
 
     *columns, events, peaks = zip(*parts)
     rows = ReplicaRows(names, *map(np.concatenate, columns))
@@ -720,10 +724,6 @@ def run_ensemble(kernel: Kernel, initial, t_grid, replicas, base_seed,
         rows=rows,
         diagnostics={"events": sum(events), "peak_occupied": max(peaks)},
     )
-
-
-def _run_replicas_star(a):
-    return _run_replicas(*a)
 
 
 def _column_stats(col, mask):

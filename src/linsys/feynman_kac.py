@@ -392,15 +392,16 @@ _HILL_K = 200   # order statistics the Hill index is taken over
 
 
 def hill_index(sample):
-    """Hill (1975) estimate of the Pareto tail index of a positive sample.
+    """Hill (1975) estimate of the Pareto tail index of a nonnegative
+    sample's positive values (zeros, such as extinct replicas', are no tail).
 
     1 / mean(log(X_(i) / X_(k+1))) over the k = 200 largest order
-    statistics X_(1) >= ... >= X_(k); nan for k values or fewer.  Below 2
-    the variance is infinite and a standard error is no error bar.
+    statistics X_(1) >= ... >= X_(k); nan for k positive values or fewer.
+    Below 2 the variance is infinite and a standard error is no error bar.
     """
     x = np.asarray(sample, dtype=float)
     n, k = len(x), _HILL_K
-    if n <= k:
+    if np.count_nonzero(x > 0.0) <= k:  # else the top k + 1 are positive
         return math.nan
     top = np.partition(x, n - k - 1)[n - k - 1:]
     mean_log = float(np.mean(np.log(top[1:] / top[0])))

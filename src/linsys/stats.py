@@ -305,6 +305,16 @@ def _top_share(sample, fraction):
     return float(x[len(x) - math.ceil(fraction * len(x)):].sum() / total)
 
 
+def tail_health(sample):
+    """The Hill index of a nonnegative sample's positive values
+    (``fk.hill_index``), the top 1% of all values' share of the sum, and
+    whether the index is below 2 (None where it is nan), where a standard
+    error is no error bar."""
+    hill = fk.hill_index(sample)
+    return {"hill_index": hill, "top_1pct_share": _top_share(sample, 0.01),
+            "hill_index_below_2": None if math.isnan(hill) else hill < 2.0}
+
+
 def covariance_limit_check(kernel: Kernel, a, b, t, samples, seed,
                            summary=None, rel_tol=0.10, k=3.0,
                            resolution=None) -> CheckResult:
@@ -344,13 +354,11 @@ def covariance_limit_check(kernel: Kernel, a, b, t, samples, seed,
         sq = rows.values[rows.recorded == len(summary.t_grid), 0,
                          rows.names.index("normalized_total_sq")]
         # an ensemble that dropped truncated replicas is biased low; the
-        # tail health is for the record (a Hill index below 2 means
-        # infinite variance, where the SE is no error bar)
+        # tail health is for the record
         res.notes["ensemble"] = {
             "t": ens_t, "mean_sq": st["mean"][0], "se": st["se"][0],
             "exact": exact, "truncated": summary.truncated,
-            "hill_index": fk.hill_index(sq[sq > 0.0]),
-            "top_1pct_share": _top_share(sq, 0.01),
+            **tail_health(sq),
             "agree": bool(not summary.truncated
                           and abs(st["mean"][0] - exact) <= k * st["se"][0]),
         }

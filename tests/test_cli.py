@@ -7,8 +7,9 @@ import numpy
 import pytest
 import scipy
 
-from linsys import cli, engine
+from linsys import cli, engine, feynman_kac as fk, stats
 from linsys.cli import ConfigError, main, parse_config
+from linsys.kernel import make_bcpp_kernel
 
 
 BASE = {"bcpp": {"d": 3, "lambda": 1.0},
@@ -143,6 +144,42 @@ def test_cli_dual_diagnostics_beside_artifacts(tmp_path, command, artifact):
     assert diag["events"] > 0 and diag["truncated"] > 0
     assert all(0.0 < s <= 1.0 for s in tail["top_1pct_share"])
     assert "diagnostics" not in json.loads(blobs[0][0])
+
+
+def test_cli_tail_health_reads_surviving_replicas(tmp_path, recwarn):
+    # 287, 121 and 81 of 400 replicas survive: extinct replicas' zeros
+    # are no tail, so past t = 1 the Hill index has too few values
+    cfg = {"bcpp": {"d": 3, "lambda": 0.25}, "t_grid": [1.0, 10.0, 30.0],
+           "replicas": 400, "seed": 3}
+    assert main(["verify-martingale", json.dumps(cfg), "--threads", "1",
+                 "--output-dir", str(tmp_path)]) in (0, 1)
+    tail = json.loads((tmp_path / "diagnostics.json").read_text())[
+        "normalized_total_sq_tail"]
+    summary = engine.run_ensemble(make_bcpp_kernel(3, 0.25), [((0, 0, 0), 1.0)],
+                                  cfg["t_grid"], 400, base_seed=3, densities=False)
+    sq = summary.rows.values[:, :, summary.rows.names.index("normalized_total_sq")]
+    assert (sq > 0).sum(axis=0).tolist() == [287, 121, 81]
+    assert tail["hill_index_below_2"] == [True, None, None]
+    assert tail["hill_index"][1:] == [None, None]
+    assert tail["hill_index"][0] == pytest.approx(
+        fk.hill_index(sq[sq[:, 0] > 0, 0]), rel=1e-12)
+    assert tail["top_1pct_share"] == pytest.approx(
+        [stats._top_share(col, 0.01) for col in sq.T], rel=1e-12)
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_cli_range_limit_exits_3(capsys):
+    # a translation started 5000 sites below the packed field's edge: the
+    # audit at event 4096 stops it before it wraps to the far side
+    cfg = {"kernel": {"d": 1, "atoms": [{"p": 1.0, "v": [{"x": [1], "val": 1.0}]}]},
+           "initial": [{"x": [2**20 - 5000], "mass": 1}], "t_grid": [6000],
+           "replicas": 1, "seed": 1}
+    assert main(["simulate", json.dumps(cfg)]) == 3
+    captured = capsys.readouterr()
+    err = json.loads(captured.err)
+    assert err["error"] == "CorruptStateError"
+    assert "coordinate range limit" in err["message"]
+    assert "Traceback" not in captured.err and not captured.out
 
 
 def _reference_csv_rows(cfg):

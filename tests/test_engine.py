@@ -574,22 +574,38 @@ def test_forward_neighbour_write_does_not_underflow():
     assert sorted(st._active) == sorted(st.masses)
 
 
-def _far_ensemble(densities):
-    # the branch offset puts a child at the coordinate range limit
+def test_coordinate_range_guard():
+    # a kernel whose reach leaves no room between audits is refused
     far = Kernel(1, [(1.0, {(0,): 1.0, (engine._OFF - 64,): 1.0})])
-    return run_ensemble(far, [((0,), 1.0)], [5.0], 4, base_seed=1,
-                        densities=densities)
-
-
-@pytest.mark.parametrize("densities", [True, False], ids=["full", "totals"])
-def test_range_check_in_both_record_kinds(densities):
-    with pytest.raises(CorruptStateError, match="coordinate range limit"):
-        _far_ensemble(densities)
-    for c in (engine._OFF - 64, 64 - engine._OFF):
+    with pytest.raises(EngineError, match=f"r_K = {engine._OFF - 64}"):
+        run_ensemble(far, [((0,), 1.0)], [5.0], 4, base_seed=1)
+    # the audit raises on a site at the limit once the event count lets
+    # one get there (r_K = 1: limit events from the origin)
+    limit = engine._OFF - engine._AUDIT_EVERY
+    for c in (limit, -limit):
         st = init_state(BCPP3, [(ORIGIN3, 1.0)], seed=0)
+        assert st._tables.limit == limit
         st.masses[pack_site((0, c, 0))] = 1.0
+        st._events = limit
         with pytest.raises(CorruptStateError, match="coordinate range limit"):
-            observables(st) if densities else engine._totals_row(st)
+            st._audit()
+    with pytest.raises(EngineError, match="coordinate range"):
+        init_state(BCPP3, [((0, limit, 0), 1.0)])
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_translation_stops_at_the_range_limit(d):
+    # each event moves the one mass a site along e1; the site crosses the
+    # limit after 904 events and would leave the packed field after 5000,
+    # wrapping to the far side and, for d = 2, into the second coordinate
+    e1 = (1,) + (0,) * (d - 1)
+    start = (engine._OFF - 5000,) + (0,) * (d - 1)
+    st = init_state(Kernel(d, [(1.0, {e1: 1.0})]), [(start, 1.0)], seed=1)
+    with pytest.raises(CorruptStateError, match="coordinate range limit"):
+        st.advance(6000.0)
+    assert st._events == engine._AUDIT_EVERY
+    assert st.site_array()[0].tolist() == [[start[0] + engine._AUDIT_EVERY]
+                                         + [0] * (d - 1)]
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -622,10 +638,16 @@ def test_battery_needs_density_records():
                      battery=stats.default_battery, densities=False)
 
 
-def _site_samples(initial, dual, sites, t, replicas, base_seed):
+# MULTI1's atom shapes in d = 2, with offsets off the axes
+MULTI2 = Kernel(2, [(0.25, {}), (0.25, {(0, 0): 0.5, (1, 0): 1.0, (0, -1): 0.7}),
+                    (0.25, {(0, 1): 1.5}),
+                    (0.25, {(0, 0): 1.0, (1, 0): 0.4, (-1, 1): 0.4})])
+
+
+def _site_samples(kernel, initial, dual, sites, t, replicas, base_seed):
     # unnormalized masses at the given sites: one row per replica
     keys = [pack_site(s) for s in sites]
-    tables = engine._KernelTables(MULTI1)
+    tables = engine._KernelTables(kernel)
     out = np.empty((replicas, len(sites)))
     for r in range(replicas):
         st = init_state(tables, initial, dual=dual,
@@ -635,20 +657,25 @@ def _site_samples(initial, dual, sites, t, replicas, base_seed):
     return out
 
 
-def test_dual_matches_forward_in_law():
+@pytest.mark.parametrize("kernel, radius", [(MULTI1, 14), (MULTI2, 8)],
+                         ids=["d1", "d2"])
+def test_dual_matches_forward_in_law(kernel, radius):
     # each event's dual map is the transpose of its forward map, and
     # Poisson clocks are reversible in time, so <eta_t, g> from
     # eta_0 = delta_0 has the law of zeta_t(0) from zeta_0 = g.  Second
-    # moments against the forward oracle's u(x, y) = E[eta_t(x) eta_t(y)],
-    # and the whole law by a two-sample KS test against the forward engine
-    t, n, x, y = 1.0, 20_000, 0, 1
-    sol = fk.oracle_two_point(MULTI1, [((0,), 1.0)], t, 14)
+    # moments against the forward oracle's u(x, y) = E[eta_t(x) eta_t(y)]
+    # on the box of the given radius, and the whole law by a two-sample
+    # KS test against the forward engine; x is the origin and y = e1
+    t, n = 1.0, 20_000
+    x = (0,) * kernel.d
+    y = (1,) + x[1:]
+    sol = fk.oracle_two_point(kernel, [(x, 1.0)], t, radius)
     u = sol.u[-1]
-    ix, iy = sol.site_index[(x,)], sol.site_index[(y,)]
-    fwd_x, fwd_y = _site_samples([((0,), 1.0)], False, [(x,), (y,)], t, n,
+    ix, iy = sol.site_index[x], sol.site_index[y]
+    fwd_x, fwd_y = _site_samples(kernel, [(x, 1.0)], False, [x, y], t, n,
                                  4101).T
-    dual_y = _site_samples([((y,), 1.0)], True, [(0,)], t, n, 4102)[:, 0]
-    dual_xy = _site_samples([((x,), 1.0), ((y,), 1.0)], True, [(0,)], t, n,
+    dual_y = _site_samples(kernel, [(y, 1.0)], True, [x], t, n, 4102)[:, 0]
+    dual_xy = _site_samples(kernel, [(x, 1.0), (y, 1.0)], True, [x], t, n,
                             4103)[:, 0]
     for sample, exact in [(dual_y, u[iy, iy]),
                           (dual_xy, u[ix, ix] + u[iy, iy] + 2 * u[ix, iy])]:
