@@ -574,11 +574,19 @@ def test_forward_neighbour_write_does_not_underflow():
     assert sorted(st._active) == sorted(st.masses)
 
 
-def test_coordinate_range_guard():
+@pytest.mark.parametrize("densities", [True, False], ids=["full", "totals"])
+def test_range_check_in_both_record_kinds(densities):
     # a kernel whose reach leaves no room between audits is refused
     far = Kernel(1, [(1.0, {(0,): 1.0, (engine._OFF - 64,): 1.0})])
     with pytest.raises(EngineError, match=f"r_K = {engine._OFF - 64}"):
-        run_ensemble(far, [((0,), 1.0)], [5.0], 4, base_seed=1)
+        run_ensemble(far, [((0,), 1.0)], [5.0], 4, base_seed=1,
+                     densities=densities)
+    # a translation started 5000 sites below the edge is stopped by the
+    # audit whichever record kind the ensemble keeps
+    step = Kernel(1, [(1.0, {(1,): 1.0})])
+    with pytest.raises(CorruptStateError, match="coordinate range limit"):
+        run_ensemble(step, [((engine._OFF - 5000,), 1.0)], [6000.0], 1,
+                     base_seed=1, densities=densities)
     # the audit raises on a site at the limit once the event count lets
     # one get there (r_K = 1: limit events from the origin)
     limit = engine._OFF - engine._AUDIT_EVERY
