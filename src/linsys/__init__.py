@@ -10,8 +10,8 @@ Feynman-Kac two-point representations and the limiting covariance.
 
 from .kernel import (Kernel, KernelError, KernelMoments, ValidationReport,
                      kernel_moments, make_bcpp_kernel, validate_kernel)
-from .engine import (EnsembleSummary, ObservableRecord, ProcessState,
-                     init_state, observables, run_ensemble)
+from .engine import (EnsembleSummary, ProcessState, init_state, observables,
+                     run_ensemble)
 from .walk import (GreenTable, WalkSpec, bcpp_critical_lambda, green,
                    h_of_x, return_probability, survival_criterion,
                    walk_from_kernel)

@@ -4,10 +4,11 @@ JSON in, JSON/CSV out.  Subcommands map one-to-one onto the verification
 surface (`simulate`, `green`, `criterion`, `oracle-two-point`, `fk3`,
 `verify-martingale`, `verify-clt`, `verify-cov`, `verify-overlap`,
 `validate-kernel`).  Every artifact embeds the fully resolved config and
-a format-version string; with an output directory, `simulate` and
-`verify-martingale` also write `diagnostics.json` beside their artifacts.
-Exit codes: 0 success, 1 check failure,
-2 configuration error, 3 numerical error.
+a format-version string; with an output directory, the ensemble
+subcommands (`simulate`, `verify-martingale`, `verify-clt`) also write
+`diagnostics.json` beside their artifacts.  Exit codes: 0 success,
+1 check failure, 2 configuration error (an engine refusal of its inputs
+too), 3 numerical error.
 """
 
 from __future__ import annotations
@@ -267,10 +268,8 @@ def _emit_diagnostics(cfg, summary):
     path = _out_path(cfg, "diagnostics.json")
     if path:
         import scipy  # the top level only: no submodule loads
-        rows = summary.rows
-        sq = rows.values[rows.recorded == len(summary.t_grid), :,
-                         rows.names.index("normalized_total_sq")]
-        tail = [stats.tail_health(col) for col in sq.T]
+        tail = [stats.tail_health(col)
+                for col in summary.rows.kept("normalized_total_sq").T]
         _emit({"events": summary.diagnostics["events"],
                "truncated": summary.truncated,
                "peak_occupied": summary.diagnostics["peak_occupied"],
@@ -313,17 +312,18 @@ def _cmd_green(cfg):
 
 
 def _ensemble(cfg, battery=None, densities=True):
-    return engine.run_ensemble(
+    summary = engine.run_ensemble(
         cfg.kernel, cfg.initial, cfg.t_grid, cfg.replicas, cfg.seed,
         dual=cfg.dual, threads=cfg.threads, max_occupied=cfg.max_occupied,
         battery=battery, densities=densities)
+    _emit_diagnostics(cfg, summary)
+    return summary
 
 
 def _cmd_simulate(cfg):
     summary = _ensemble(cfg, stats.default_battery if cfg.battery else None)
     _emit({**summary.to_dict(), "config": cfg.resolved()},
           _out_path(cfg, "summary.json"))
-    _emit_diagnostics(cfg, summary)
     csv_path = _out_path(cfg, "trajectories.csv")
     if csv_path:
         d = cfg.kernel.d
@@ -394,7 +394,6 @@ def _report(cfg, name, results):
 
 def _cmd_verify_martingale(cfg):
     summary = _ensemble(cfg, densities=False)  # the check reads totals only
-    _emit_diagnostics(cfg, summary)
     return _report(cfg, "verify_martingale", stats.martingale_check(
         summary, **_tolerances(cfg, k="k")))
 
@@ -472,7 +471,11 @@ def main(argv=None):
         json.dump({"error": "config" if config else type(e).__name__,
                    "message": str(e)}, sys.stderr)
         sys.stderr.write("\n")
-        return 2 if config else 3
+        # the engine refuses its inputs before any event; only a corrupt
+        # state arises from a run
+        refused = (isinstance(e, engine.EngineError)
+                   and not isinstance(e, engine.CorruptStateError))
+        return 2 if config or refused else 3
 
 
 if __name__ == "__main__":

@@ -52,7 +52,8 @@ before it can underflow to a false death.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate, starmap
 
 import numpy as np
@@ -101,19 +102,6 @@ def unpack_site(key, d):
 def _pack_delta(u):
     # valid to *add* to a packed key as long as coordinates stay in range
     return sum(c << (_BITS * i) for i, c in enumerate(u))
-
-
-@dataclass(eq=False)
-class ObservableRecord:
-    t: float
-    normalized_total: float
-    rho_star: float
-    overlap: float
-    occupied: int
-    weighted_moment_1: np.ndarray
-    weighted_moment_2: np.ndarray
-    extinct: bool
-    battery: dict = field(default_factory=dict)
 
 
 class _KernelTables:
@@ -478,51 +466,44 @@ def init_state(kernel: Kernel, initial, dual=False, seed=0) -> ProcessState:
     return ProcessState(kernel, list(initial), dual, seed)
 
 
-def observables(state: ProcessState, test_functions=None) -> ObservableRecord:
-    """Density observables of the current configuration.
+def observables(state: ProcessState, test_functions=None) -> dict:
+    """Density observables of the current configuration, as the record
+    ``{column: value}`` in the ``_record_names`` order.
 
     rho_x = eta_x/|eta|; rho_star = max rho; overlap = sum rho^2.  The
-    weighted moments are sum_x xhat^{(k)} rho_x with
+    weighted moments m1_i and m2_ij are sum_x xhat^{(k)} rho_x with
     xhat = (x - m t)/sqrt(t) centered by the kernel drift (scale 1 at
-    t = 0).  Extinction gives the all-zero record.
+    t = 0), and "battery:<name>" is sum_x f(xhat) rho_x.  Extinction
+    ("occupied" 0) gives the all-zero record.
     """
-    d = state.d
+    test_functions = test_functions or {}
+    battery = tuple(sorted(test_functions))
+    names = _record_names(state.d, battery, True)
     if not state.masses:
-        return ObservableRecord(
-            t=state.t, normalized_total=0.0, rho_star=0.0, overlap=0.0,
-            occupied=0, weighted_moment_1=np.zeros(d),
-            weighted_moment_2=np.zeros((d, d)), extinct=True,
-            battery={name: 0.0 for name in (test_functions or {})})
+        return dict.fromkeys(names, 0.0)
     coords, vals = state.site_array()
-    total, normalized_total = _totals(state)
+    total, totals = _totals(state)
     rho = vals / total
     scale = math.sqrt(state.t) if state.t > 0 else 1.0
     xhat = (coords - state._tables.drift * state.t) / scale
-    m1 = rho @ xhat
     m2 = (xhat * rho[:, None]).T @ xhat
-    battery = {}
-    if test_functions:
-        for name, f in test_functions.items():
-            battery[name] = float(rho @ f(xhat, scale))
-    return ObservableRecord(
-        t=state.t,
-        normalized_total=normalized_total,
-        rho_star=float(rho.max()),
-        overlap=float(rho @ rho),
-        occupied=len(vals),
-        weighted_moment_1=m1,
-        weighted_moment_2=m2,
-        extinct=False,
-        battery=battery,
-    )
+    return dict(zip(names, [
+        totals["normalized_total"], totals["normalized_total_sq"],
+        float(rho.max()), float(rho @ rho), totals["occupied"],
+        *(rho @ xhat).tolist(), *m2.ravel().tolist(),
+        *(float(rho @ test_functions[b](xhat, scale)) for b in battery)]))
 
 
 def _totals(state: ProcessState):
-    """(total, normalized total) of the configuration: the masses' fsum
-    (correctly rounded, so in any order) and that times
-    exp(log_scale - kappa_1 t)."""
+    """The masses' fsum (correctly rounded, so in any order) and the
+    ``_TOTAL_NAMES`` columns both record kinds share: the normalized total
+    (the fsum times exp(log_scale - kappa_1 t)), its square and the
+    occupied-site count."""
     total = math.fsum(state.masses.values())
-    return total, total * math.exp(state.log_scale - state._tables.kappa1 * state.t)
+    normalized = total * math.exp(state.log_scale - state._tables.kappa1 * state.t)
+    return total, {"normalized_total": normalized,
+                   "normalized_total_sq": normalized**2,
+                   "occupied": float(len(state.masses))}
 
 
 # ---------------------------------------------------------------------------
@@ -544,6 +525,13 @@ class ReplicaRows:
     values: np.ndarray
     t: np.ndarray
     recorded: np.ndarray
+
+    def kept(self, name):
+        """The ``name`` column, (kept replicas, grid times), over the
+        replicas kept for the statistics: those that recorded every grid
+        time."""
+        return self.values[self.recorded == self.values.shape[1], :,
+                           self.names.index(name)]
 
 
 @dataclass(eq=False)
@@ -592,32 +580,21 @@ class EnsembleSummary:
 FORMAT_VERSION = "linsys-summary-1"
 
 
-def _scalar_names(d, battery_names):
-    names = ["normalized_total", "normalized_total_sq", "rho_star",
-             "overlap", "occupied"]
-    names += [f"m1_{i}" for i in range(d)]
-    names += [f"m2_{i}{j}" for i in range(d) for j in range(d)]
-    names += [f"battery:{b}" for b in battery_names]
-    return names
+_TOTAL_NAMES = ("normalized_total", "normalized_total_sq", "occupied")
 
 
-_TOTAL_NAMES = ["normalized_total", "normalized_total_sq", "occupied"]
-
-
-def _totals_row(state):
-    """The ``_TOTAL_NAMES`` columns of the current configuration: the same
-    values as the full record's, without its density observables."""
-    _, total = _totals(state)
-    return [total, total**2, float(len(state.masses))]
-
-
-def _record_row(rec, d, battery_names):
-    row = [rec.normalized_total, rec.normalized_total**2, rec.rho_star,
-           rec.overlap, float(rec.occupied)]
-    row += [rec.weighted_moment_1[i] for i in range(d)]
-    row += [rec.weighted_moment_2[i, j] for i in range(d) for j in range(d)]
-    row += [rec.battery[b] for b in battery_names]
-    return row
+@lru_cache
+def _record_names(d, battery_names, densities):
+    """The columns of a record, in order: those of ``observables`` with
+    the sorted tuple ``battery_names``, or with ``densities=False`` the
+    ``_TOTAL_NAMES`` of ``_totals`` alone."""
+    if not densities:
+        return _TOTAL_NAMES
+    return (("normalized_total", "normalized_total_sq", "rho_star", "overlap",
+             "occupied")
+            + tuple(f"m1_{i}" for i in range(d))
+            + tuple(f"m2_{i}{j}" for i in range(d) for j in range(d))
+            + tuple(f"battery:{b}" for b in battery_names))
 
 
 def _run_replicas(kernel_dict, initial, t_grid, dual, base_seed, lo, hi,
@@ -628,32 +605,34 @@ def _run_replicas(kernel_dict, initial, t_grid, dual, base_seed, lo, hi,
     kernel = Kernel.from_dict(kernel_dict)
     tables = _KernelTables(kernel)
     test_functions = battery_spec(kernel) if battery_spec else {}
-    battery_names = sorted(test_functions)
-    d = kernel.d
-    width = len(_scalar_names(d, battery_names) if densities else _TOTAL_NAMES)
-    out = np.zeros((hi - lo, len(t_grid), width))
-    clock = np.zeros((hi - lo, len(t_grid)))
-    recorded = np.zeros(hi - lo, dtype=np.int64)
+    width = len(_record_names(kernel.d, tuple(sorted(test_functions)), densities))
+    records, clocks, recorded = [], [], []
     events = peak = 0
     for r in range(lo, hi):
         state = init_state(tables, initial, dual=dual,
                            seed=replica_seed(base_seed, r))
         state.max_occupied = max_occupied
         prev = 0.0
-        for j, t in enumerate(t_grid):
+        start = len(records)
+        for t in t_grid:
             state.advance(t - prev)
             prev = t
             if state.truncated:
                 break
-            if densities:
-                out[r - lo, j] = _record_row(observables(state, test_functions),
-                                             d, battery_names)
-            else:
-                out[r - lo, j] = _totals_row(state)
-            clock[r - lo, j] = state.t
-            recorded[r - lo] = j + 1
+            rec = (observables(state, test_functions) if densities
+                   else _totals(state)[1])
+            records.append(list(rec.values()))
+            clocks.append(state.t)
+        recorded.append(len(records) - start)
         events += state._events
         peak = max(peak, state.peak_occupied)
+    # the records fill each replica's first recorded[r] grid times, in order
+    recorded = np.array(recorded, dtype=np.int64)
+    filled = np.arange(len(t_grid)) < recorded[:, None]
+    out = np.zeros((hi - lo, len(t_grid), width))
+    clock = np.zeros((hi - lo, len(t_grid)))
+    out[filled] = np.reshape(records, (-1, width))
+    clock[filled] = clocks
     return out, clock, recorded, events, peak
 
 
@@ -680,8 +659,7 @@ def run_ensemble(kernel: Kernel, initial, t_grid, replicas, base_seed,
         raise EngineError("a battery needs the density records (densities=True)")
     kern_dict = kernel.to_dict()
     battery_names = sorted(battery(kernel)) if battery else []
-    names = (_scalar_names(kernel.d, battery_names) if densities
-             else list(_TOTAL_NAMES))
+    names = list(_record_names(kernel.d, tuple(battery_names), densities))
 
     chunk = max(64, (replicas + 4 * max(threads, 1) - 1) // (4 * max(threads, 1)))
     jobs = [(lo, min(lo + chunk, replicas)) for lo in range(0, replicas, chunk)]
@@ -696,13 +674,12 @@ def run_ensemble(kernel: Kernel, initial, t_grid, replicas, base_seed,
 
     *columns, events, peaks = zip(*parts)
     rows = ReplicaRows(names, *map(np.concatenate, columns))
-    keep = rows.recorded == len(t_grid)
-    surv = rows.values[keep, :, names.index("occupied")] > 0
-    n_kept = int(keep.sum())
+    surv = rows.kept("occupied") > 0
+    n_kept = len(surv)
 
     stats = {}
-    for i, name in enumerate(names):
-        col = rows.values[keep, :, i]
+    for name in names:
+        col = rows.kept(name)
         stats[name] = {
             "all": _column_stats(col, np.ones_like(surv)),
             "surviving": _column_stats(col, surv),

@@ -263,6 +263,22 @@ def _integrate(A, y0, times):
     return out
 
 
+def _box_initial(d, R, initial):
+    """The sites of the box |x|_inf <= R in Z^d, their index map and the
+    initial masses as a vector over them; a site outside the box, or of
+    another dimension, raises FeynmanKacError."""
+    sites = _box_sites(d, R)
+    index = {s: i for i, s in enumerate(sites)}
+    eta0 = np.zeros(len(sites))
+    for x, m in initial:
+        i = index.get(tuple(x))
+        if i is None:
+            raise FeynmanKacError(f"initial site {x} outside the box "
+                                  f"|x|_inf <= {R} in Z^{d}")
+        eta0[i] += float(m)
+    return sites, index, eta0
+
+
 def oracle_two_point(kernel: Kernel, initial, times, radius) -> OracleSolution:
     """Solve u' = Gamma u for u(t,x,xt) = P[eta_{t,x} eta_{t,xt}].
 
@@ -275,18 +291,11 @@ def oracle_two_point(kernel: Kernel, initial, times, radius) -> OracleSolution:
         times = [times]
     times = [float(t) for t in times]
     d, R = kernel.d, int(radius)
-    sites = _box_sites(d, R)
+    sites, index, eta0 = _box_initial(d, R, initial)
     M = len(sites)
-    index = {s: i for i, s in enumerate(sites)}
-    for x, m in initial:
-        if tuple(x) not in index:
-            raise FeynmanKacError(f"initial site {x} outside the box")
 
     table = GammaTable(kernel)
     A = _pair_generator(table, R)
-    eta0 = np.zeros(M)
-    for x, m in initial:
-        eta0[index[tuple(x)]] += float(m)
     u0 = np.outer(eta0, eta0).ravel()
 
     snaps = _integrate(A, u0, times)
@@ -311,12 +320,8 @@ def one_point_profile(kernel: Kernel, initial, t, radius):
     sum_y E[K_{x-y}] (f(y) - f(x)); we evolve v' = L_X v from eta_0
     and scale by exp(kappa_1 t).
     """
-    d, R = kernel.d, int(radius)
-    sites = _box_sites(d, R)
-    index = {s: i for i, s in enumerate(sites)}
-    v0 = np.zeros(len(sites))
-    for x, m in initial:
-        v0[index[tuple(x)]] += float(m)
+    R = int(radius)
+    _, index, v0 = _box_initial(kernel.d, R, initial)
     A = _box_generator(_box_walk(kernel, symmetrized=False), R)
     v = _integrate(A, v0, [float(t)])[0]
     scale = math.exp(kernel_moments(kernel).kappa1 * float(t))
@@ -745,37 +750,31 @@ def pair_chain_samples(kernel: Kernel, start_pair, t, samples, rng,
 def pair_chain_histogram(kernel: Kernel, initial, t, samples, seed):
     """Weighted endpoint histogram: (x, xt) -> P[etabar_{t,x} etabar_{t,xt}].
 
-    Runs the dual pair chain from every ordered pair of initial sites,
-    weighted by exp(kappa_2 * diagonal local time), and gives every pair
-    value at once, with per-pair standard errors; requires nonnegative
-    off-diagonal pair rates.
+    Runs the dual pair chain ``samples`` times from every ordered pair of
+    initial sites, weighted by eta0_x eta0_xt exp(kappa_2 * diagonal local
+    time), and gives every pair value at once: the sum over the starts of
+    each start's weighted endpoint mean, with the standard error from the
+    sum of the starts' variances; requires nonnegative off-diagonal pair
+    rates.
     """
     rng = seeded_rng(seed, 0x9A1)
     kappa2 = kernel_moments(kernel).kappa2
-    sums = {}
-    sqs = {}
-    n_total = 0
+    d = kernel.d
+    values, var = {}, {}
     for x, mx in initial:
         for xt, mxt in initial:
-            W = float(mx) * float(mxt)
             Y, Yt, loc = pair_chain_samples(kernel, (x, xt), t, samples, rng)
-            w = W * np.exp(kappa2 * loc)
-            keys = np.concatenate([Y, Yt], axis=1)
-            order = np.lexsort(keys.T[::-1])
-            keys, w = keys[order], w[order]
-            cuts = np.nonzero(np.any(np.diff(keys, axis=0) != 0, axis=1))[0] + 1
-            for block, wblock in zip(np.split(keys, cuts), np.split(w, cuts)):
-                key = (tuple(block[0][:kernel.d]), tuple(block[0][kernel.d:]))
-                sums[key] = sums.get(key, 0.0) + wblock.sum()
-                sqs[key] = sqs.get(key, 0.0) + (wblock**2).sum()
-            n_total += samples
-    values = {k: s / n_total for k, s in sums.items()}
-    ses = {}
-    for k in sums:
-        m = values[k]
-        var = sqs[k] / n_total - m**2
-        ses[k] = math.sqrt(max(var, 0.0) / n_total)
-    return values, ses
+            w = float(mx) * float(mxt) * np.exp(kappa2 * loc)
+            cells, cell = np.unique(np.concatenate([Y, Yt], axis=1), axis=0,
+                                    return_inverse=True)
+            mean = np.bincount(cell, w) / samples
+            sq = np.bincount(cell, w * w) / samples
+            for c, m, v in zip(cells.tolist(), mean.tolist(),
+                               ((sq - mean**2) / samples).tolist()):
+                key = (tuple(c[:d]), tuple(c[d:]))
+                values[key] = values.get(key, 0.0) + m
+                var[key] = var.get(key, 0.0) + max(v, 0.0)
+    return values, {k: math.sqrt(v) for k, v in var.items()}
 
 
 # ---------------------------------------------------------------------------

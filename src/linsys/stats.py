@@ -350,9 +350,7 @@ def covariance_limit_check(kernel: Kernel, a, b, t, samples, seed,
         st = summary.stat("normalized_total_sq", "all")
         ens_t = summary.t_grid[0]
         exact = _exact_second_moment(kernel, summary.metadata["initial"], ens_t)
-        rows = summary.rows
-        sq = rows.values[rows.recorded == len(summary.t_grid), 0,
-                         rows.names.index("normalized_total_sq")]
+        sq = summary.rows.kept("normalized_total_sq")[:, 0]
         # an ensemble that dropped truncated replicas is biased low; the
         # tail health is for the record
         res.notes["ensemble"] = {

@@ -182,6 +182,31 @@ def test_cli_range_limit_exits_3(capsys):
     assert "Traceback" not in captured.err and not captured.out
 
 
+@pytest.mark.parametrize("cfg", [
+    {"bcpp": {"d": 1, "lambda": 1.0}, "initial": [{"x": [2000000]}]},
+    {"kernel": {"d": 1, "atoms": [{"p": 1.0, "v": [{"x": [256], "val": 1.0}]}]}},
+], ids=["site-out-of-range", "kernel-reach-256"])
+def test_cli_engine_refusal_exits_2(capsys, cfg):
+    # refused from the config alone, before any event
+    assert main(["simulate", json.dumps({**cfg, "t_grid": [1], "replicas": 1})]) == 2
+    captured = capsys.readouterr()
+    err = json.loads(captured.err)
+    assert err["error"] == "EngineError" and err["message"]
+    assert "Traceback" not in captured.err and not captured.out
+
+
+def test_cli_verify_clt_writes_diagnostics(tmp_path):
+    # the same replicas as simulate's, so the same diagnostics bytes
+    cfg = {"bcpp": {"d": 3, "lambda": 1.0}, "t_grid": [0.5, 1.0],
+           "replicas": 60, "seed": 4}
+    for command in ("verify-clt", "simulate"):
+        assert main([command, json.dumps(cfg), "--threads", "1",
+                     "--output-dir", str(tmp_path / command)]) in (0, 1)
+    diag = [(tmp_path / command / "diagnostics.json").read_bytes()
+            for command in ("verify-clt", "simulate")]
+    assert diag[0] == diag[1] and json.loads(diag[0])["events"] > 0
+
+
 def _reference_csv_rows(cfg):
     # one trajectory per replica, recorded the way the ensemble records it
     kernel = parse_config(json.dumps(cfg)).kernel
@@ -197,10 +222,11 @@ def _reference_csv_rows(cfg):
             if st.truncated:
                 break
             rec = engine.observables(st)
-            row = ([r, rec.t, rec.normalized_total, rec.rho_star, rec.overlap,
-                    rec.occupied, int(rec.extinct)]
-                   + rec.weighted_moment_1.tolist()
-                   + rec.weighted_moment_2.ravel().tolist())
+            row = ([r, st.t, rec["normalized_total"], rec["rho_star"],
+                    rec["overlap"], int(rec["occupied"]),
+                    int(rec["occupied"] == 0)]
+                   + [rec[f"m1_{i}"] for i in range(3)]
+                   + [rec[f"m2_{i}{j}"] for i in range(3) for j in range(3)])
             lines.append(",".join(repr(v) for v in row))
     return lines
 

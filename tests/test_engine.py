@@ -40,15 +40,15 @@ def test_site_array_matches_unpack_site(d):
 def test_init_single_particle():
     st = init_state(BCPP3, [(ORIGIN3, 1.0)], seed=0)
     rec = observables(st)
-    assert rec.normalized_total == 1.0
-    assert rec.rho_star == 1.0 and rec.overlap == 1.0
-    assert rec.occupied == 1 and not rec.extinct
+    assert rec["normalized_total"] == 1.0
+    assert rec["rho_star"] == 1.0 and rec["overlap"] == 1.0
+    assert rec["occupied"] == 1  # not extinct
 
 
 def test_init_two_sites():
     st = init_state(BCPP3, [(ORIGIN3, 1.0), ((1, 0, 0), 2.0)], seed=0)
     assert abs(math.fsum(st.masses.values()) - 3.0) < 1e-12
-    assert observables(st).occupied == 2
+    assert observables(st)["occupied"] == 2
 
 
 def test_init_empty_rejected():
@@ -122,7 +122,7 @@ def test_death_atom_extinction_is_absorbing():
     st.advance(50.0)
     assert st.extinct and not st.masses
     rec = observables(st)
-    assert rec.extinct and rec.rho_star == 0.0 and rec.overlap == 0.0
+    assert rec["occupied"] == 0 and rec["rho_star"] == 0.0 and rec["overlap"] == 0.0
     st.advance(10.0)
     assert st.extinct and st.t == 60.0
 
@@ -146,16 +146,30 @@ def test_first_event_time_exponential():
 def test_observables_two_equal_sites():
     st = init_state(BCPP3, [(ORIGIN3, 1.0), ((1, 0, 0), 1.0)], seed=0)
     rec = observables(st)
-    assert abs(rec.overlap - 0.5) < 1e-12
-    assert abs(rec.rho_star - 0.5) < 1e-12
+    assert abs(rec["overlap"] - 0.5) < 1e-12
+    assert abs(rec["rho_star"] - 0.5) < 1e-12
 
 
 def test_observables_uniform_mass():
     sites = [((i, 0, 0), 2.5) for i in range(10)]
     st = init_state(BCPP3, sites, seed=0)
     rec = observables(st)
-    assert abs(rec.overlap - 0.1) < 1e-12
-    assert abs(rec.rho_star - 0.1) < 1e-12
+    assert abs(rec["overlap"] - 0.1) < 1e-12
+    assert abs(rec["rho_star"] - 0.1) < 1e-12
+
+
+@pytest.mark.parametrize("battery", [False, True], ids=["plain", "battery"])
+def test_observables_keys_are_the_record_names(battery):
+    test_functions = stats.default_battery(BCPP3) if battery else None
+    names = engine._record_names(3, tuple(sorted(test_functions or {})), True)
+    live = init_state(BCPP3, [(ORIGIN3, 1.0)], seed=2).advance(2.0)
+    extinct = init_state(Kernel(3, [(1.0, {})]), [(ORIGIN3, 1.0)],
+                         seed=2).advance(50.0)
+    assert live.masses and extinct.extinct
+    for st in (live, extinct):
+        assert tuple(observables(st, test_functions)) == names
+        assert tuple(engine._totals(st)[1]) == engine._record_names(3, (), False)
+    assert set(observables(extinct, test_functions).values()) == {0.0}
 
 
 def test_overlap_sandwich_on_trajectories():
@@ -163,10 +177,10 @@ def test_overlap_sandwich_on_trajectories():
         st = init_state(BCPP3, [(ORIGIN3, 1.0)], seed=seed)
         st.advance(5.0)
         rec = observables(st)
-        if not rec.extinct:
-            assert rec.rho_star**2 <= rec.overlap + 1e-12
-            assert rec.overlap <= rec.rho_star + 1e-12
-            assert rec.rho_star <= 1.0 + 1e-12
+        if rec["occupied"] > 0:  # not extinct
+            assert rec["rho_star"]**2 <= rec["overlap"] + 1e-12
+            assert rec["overlap"] <= rec["rho_star"] + 1e-12
+            assert rec["rho_star"] <= 1.0 + 1e-12
 
 
 def test_martingale_small_ensemble():

@@ -383,6 +383,24 @@ def test_pair_chain_vs_oracle_random_g(rng):
         assert abs(est - target) <= 3 * se + 1e-3
 
 
+@pytest.mark.parametrize("initial", [[((0,), 1.0), ((1,), 1.0)],
+                                     [((0,), 2.0), ((3,), 0.5)]],
+                         ids=["unit-pair", "unequal-masses"])
+def test_pair_chain_histogram_sums_over_starts(initial):
+    # each start's weighted endpoint mean adds to the histogram; dividing
+    # by the count of all starts' samples put every cell 1/n^2 too low
+    t = 0.4
+    sol = fk.oracle_two_point(BCPP1, initial, [t], 8)
+    norm = sol.normalized(0)
+    vals, ses = fk.pair_chain_histogram(BCPP1, initial, t, 50_000, seed=23)
+    # the cells' summed variances bound the variance of their sum
+    total_se = math.sqrt(sum(s * s for s in ses.values()))
+    assert abs(sum(vals.values()) - norm.sum()) <= 4 * total_se
+    for (x, xt), v in vals.items():
+        exact = norm[sol.site_index[x], sol.site_index[xt]]
+        assert abs(v - exact) <= 4.5 * ses[(x, xt)] + 1e-12
+
+
 def test_pair_chain_matches_fk3_through_offsets():
     # g(x, xt) = f(x - xt) must agree between the two representations
     t = 1.0
@@ -401,6 +419,14 @@ def test_one_point_t_zero_and_conservation():
     prof = fk.one_point_profile(BCPP1, init, 1.5, radius=14)
     total = sum(prof.values()) * math.exp(-mom.kappa1 * 1.5)
     assert abs(total - 3.0) < 1e-6
+
+
+@pytest.mark.parametrize("site", [(9,), (0, 0)], ids=["outside", "dimension"])
+def test_box_refuses_initial_site_off_the_box(site):
+    for solve in (lambda: fk.one_point_profile(BCPP1, [(site, 1.0)], 1.0, 4),
+                  lambda: fk.oracle_two_point(BCPP1, [(site, 1.0)], 1.0, 4)):
+        with pytest.raises(fk.FeynmanKacError, match="outside the box"):
+            solve()
 
 
 def test_one_point_vs_ensemble_means():
