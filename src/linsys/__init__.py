@@ -16,10 +16,10 @@ from .walk import (GreenTable, WalkSpec, bcpp_critical_lambda, green,
                    h_of_x, return_probability, survival_criterion,
                    walk_from_kernel)
 from .feynman_kac import (GammaTable, OracleSolution, fk3_estimate,
-                          fk3_limit_estimate, oracle_two_point,
-                          relative_motion_check)
+                          fk3_limit_estimate, oracle_two_point)
 from .stats import (CheckResult, clt_check, covariance_limit_check,
-                    default_battery, martingale_check, overlap_decay_check,
-                    second_moment_boundedness_check)
+                    default_battery, exact_second_moment_check,
+                    martingale_check, overlap_decay_check,
+                    relative_motion_check, second_moment_boundedness_check)
 
 __version__ = "0.1.0"

@@ -7,8 +7,9 @@ surface (`simulate`, `green`, `criterion`, `oracle-two-point`, `fk3`,
 a format-version string; with an output directory, the ensemble
 subcommands (`simulate`, `verify-martingale`, `verify-clt`) also write
 `diagnostics.json` beside their artifacts.  Exit codes: 0 success,
-1 check failure, 2 configuration error (an engine refusal of its inputs
-too), 3 numerical error.
+1 check failure, 2 configuration error (any refusal of the inputs, by
+the config checks or by the library), 3 numerical error (a corrupt
+engine state or a solve that did not converge).
 """
 
 from __future__ import annotations
@@ -260,21 +261,50 @@ def _out_path(cfg, name):
         return os.path.join(cfg.output_dir, name)
 
 
-def _emit_diagnostics(cfg, summary):
+def _density_concentration(summary, d):
+    """The abstract's two concentration quantities, t^{d/2} R_t
+    ("overlap") and t^{d/2} rho*_t ("rho_star"): per grid time their
+    50/90/99% quantiles over the kept replicas alive then (None where none
+    is), and the log-log slope of the raw medians over the grid times
+    t > 0 with survivors (None with fewer than two)."""
+    alive = summary.rows.kept("occupied") > 0
+    out = {}
+    for name in ("overlap", "rho_star"):
+        series = {"q50": [], "q90": [], "q99": []}
+        fit = []
+        for t, col, live in zip(summary.t_grid, summary.rows.kept(name).T,
+                                alive.T):
+            q = (np.quantile(t ** (d / 2) * col[live], [0.5, 0.9, 0.99])
+                 if live.any() else [None] * 3)
+            for key, v in zip(series, q):
+                series[key].append(v)
+            if t > 0 and live.any():
+                fit.append((np.log(t), np.log(np.median(col[live]))))
+        series["median_slope"] = (np.polyfit(*zip(*fit), 1)[0]
+                                  if len(fit) >= 2 else None)
+        out[name] = series
+    return out
+
+
+def _emit_diagnostics(cfg, summary, densities):
     """diagnostics.json beside the artifacts: what the ensemble pass did,
     the tail health of |etabar_t|^2 per grid time over the replicas the
-    statistics use, and the library versions its streams depend on; no
-    wall time, so its bytes are as deterministic as the payload's."""
+    statistics use, the density concentration when the pass recorded the
+    densities, and the library versions its streams depend on; no wall
+    time, so its bytes are as deterministic as the payload's."""
     path = _out_path(cfg, "diagnostics.json")
     if path:
         import scipy  # the top level only: no submodule loads
         tail = [stats.tail_health(col)
                 for col in summary.rows.kept("normalized_total_sq").T]
+        concentration = ({"density_concentration": _density_concentration(
+            summary, cfg.kernel.d)} if densities else {})
         _emit({"events": summary.diagnostics["events"],
                "truncated": summary.truncated,
                "peak_occupied": summary.diagnostics["peak_occupied"],
                "normalized_total_sq_tail": {key: [h[key] for h in tail]
                                             for key in tail[0]},
+               **concentration,
                "numpy": np.__version__, "scipy": scipy.__version__}, path)
 
 
@@ -316,7 +346,7 @@ def _ensemble(cfg, battery=None, densities=True):
         cfg.kernel, cfg.initial, cfg.t_grid, cfg.replicas, cfg.seed,
         dual=cfg.dual, threads=cfg.threads, max_occupied=cfg.max_occupied,
         battery=battery, densities=densities)
-    _emit_diagnostics(cfg, summary)
+    _emit_diagnostics(cfg, summary, densities)
     return summary
 
 
@@ -467,15 +497,12 @@ def main(argv=None):
             args.config, args.subcommand, overrides))
     except (ConfigError, walk_mod.WalkError, fk.FeynmanKacError,
             engine.EngineError, KernelError) as e:
-        config = isinstance(e, ConfigError)
-        json.dump({"error": "config" if config else type(e).__name__,
-                   "message": str(e)}, sys.stderr)
+        json.dump({"error": "config" if isinstance(e, ConfigError)
+                   else type(e).__name__, "message": str(e)}, sys.stderr)
         sys.stderr.write("\n")
-        # the engine refuses its inputs before any event; only a corrupt
-        # state arises from a run
-        refused = (isinstance(e, engine.EngineError)
-                   and not isinstance(e, engine.CorruptStateError))
-        return 2 if config or refused else 3
+        # every other error refuses the input; only these arise from a run
+        numerical = (engine.CorruptStateError, walk_mod.ConvergenceError)
+        return 3 if isinstance(e, numerical) else 2
 
 
 if __name__ == "__main__":

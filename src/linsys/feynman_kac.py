@@ -776,63 +776,3 @@ def pair_chain_histogram(kernel: Kernel, initial, t, samples, seed):
                 var[key] = var.get(key, 0.0) + max(v, 0.0)
     return values, {k: math.sqrt(v) for k, v in var.items()}
 
-
-# ---------------------------------------------------------------------------
-# Relative-motion law check
-
-
-@dataclass
-class RelativeMotionReport:
-    statistic: float
-    dof: int
-    p_value: float
-    passed: bool
-    cells: int
-    samples: int
-    notes: str = ""
-
-
-RELATIVE_MOTION_SIGNIFICANCE = 0.01   # the test passes above this p-value
-RELATIVE_MOTION_MIN_EXPECTED = 5.0    # smaller expected cell counts are pooled
-
-
-def relative_motion_check(kernel: Kernel, t, samples, seed,
-                          walk_time_factor=2.0) -> RelativeMotionReport:
-    """Two-sample chi-squared test: law of Y_t - Yt_t versus S at
-    walk_time_factor * t (the true clock doubles; factor 1 is the
-    negative control)."""
-    import scipy.stats
-
-    rng = seeded_rng(seed, 0x4E1)
-    zero = tuple([0] * kernel.d)
-    Y, Yt, _ = pair_chain_samples(kernel, (zero, zero), t, samples, rng)
-    rel = Y - Yt
-    walk = walk_from_kernel(kernel)
-    pos, _ = simulate_walk(walk, zero, walk_time_factor * float(t), samples, rng)
-
-    def counts(arr):
-        cells, n = np.unique(arr, axis=0, return_counts=True)
-        return dict(zip(map(tuple, cells.tolist()), n.tolist()))
-
-    c1, c2 = counts(rel), counts(pos)
-    cells = sorted(set(c1) | set(c2))
-    n1 = np.array([c1.get(c, 0) for c in cells], dtype=float)
-    n2 = np.array([c2.get(c, 0) for c in cells], dtype=float)
-    # pool cells whose pooled expected count is too small
-    tot = n1 + n2
-    keep = tot >= 2.0 * RELATIVE_MOTION_MIN_EXPECTED
-    if (~keep).any():
-        n1 = np.append(n1[keep], n1[~keep].sum())
-        n2 = np.append(n2[keep], n2[~keep].sum())
-    C = len(n1)
-    N1, N2 = n1.sum(), n2.sum()
-    p_hat = (n1 + n2) / (N1 + N2)
-    e1, e2 = N1 * p_hat, N2 * p_hat
-    with np.errstate(divide="ignore", invalid="ignore"):
-        chi2 = np.nansum((n1 - e1) ** 2 / e1) + np.nansum((n2 - e2) ** 2 / e2)
-    dof = max(C - 1, 1)
-    p = float(scipy.stats.chi2.sf(chi2, dof))
-    return RelativeMotionReport(
-        statistic=float(chi2), dof=dof, p_value=p,
-        passed=p > RELATIVE_MOTION_SIGNIFICANCE, cells=C, samples=samples,
-        notes=f"walk horizon factor {walk_time_factor}")

@@ -51,6 +51,10 @@ class DivergentHError(WalkError):
     """h(x) is infinite when the survival criterion fails."""
 
 
+class ConvergenceError(WalkError):
+    """A numerical solve stopped short of its tolerance."""
+
+
 @dataclass(eq=False)
 class WalkSpec:
     """Jump rates of the walk attached to a kernel.
@@ -250,7 +254,8 @@ def green_box(walk: WalkSpec, radius):
     g, info = scipy.sparse.linalg.cg(A, rhs.ravel(), rtol=1e-12, atol=0.0,
                                      maxiter=20000, M=M)
     if info != 0:
-        raise WalkError(f"green_box solve did not converge (info={info})")
+        raise ConvergenceError(
+            f"green_box solve did not converge (info={info})")
     return g.reshape(shape)
 
 

@@ -172,12 +172,12 @@ def test_criterion_06_fk3_vs_oracle(d1_triangle):
 
 
 def test_criterion_07_relative_motion_law():
-    rep = fk.relative_motion_check(BCPP3, 2.0, 100_000, seed=7007)
-    neg = fk.relative_motion_check(BCPP3, 2.0, 100_000, seed=7007,
-                                   walk_time_factor=1.0)
+    rep = stats.relative_motion_check(BCPP3, 2.0, 100_000, seed=7007)
+    neg = stats.relative_motion_check(BCPP3, 2.0, 100_000, seed=7007,
+                                      walk_time_factor=1.0)
     ok = rep.passed and not neg.passed
     _report(7, "Y - Ytilde law = S_{2t} (chi^2, 1%), S_t control fails", ok,
-            f"p={rep.p_value:.3f} control p={neg.p_value:.2e}")
+            f"p={rep.observed:.3f} control p={neg.observed:.2e}")
 
 
 def test_criterion_08_second_moment_bound(big_ensemble, limit_estimate_origin):
@@ -220,15 +220,11 @@ def test_criterion_09_covariance_formula(big_ensemble, limit_estimate_origin):
         details.append(f"|a-b|={sum(map(abs, w))}: {est.value:.3f} vs {ref:.3f}")
     # the ensemble second moment at its first grid time against the exact
     # finite-t value (the closed form lives at t = infinity)
-    res = _cached(("covariance_check", _big_ensemble_key(), 2500.0, 20_000, 9990),
-                  lambda: stats.covariance_limit_check(BCPP3, ORIGIN3, ORIGIN3,
-                                                       2500.0, 20_000, seed=9990,
-                                                       summary=big_ensemble))
-    ens = res.notes["ensemble"]
-    ok = ok and ens["agree"]
-    details.append(f"ensemble at t={ens['t']}: "
-                   f"{ens['mean_sq']:.3f}+-{ens['se']:.3f} vs exact "
-                   f"{ens['exact']:.3f}")
+    res = stats.exact_second_moment_check(BCPP3, big_ensemble)
+    ok = ok and res.passed
+    details.append(f"ensemble at t={big_ensemble.t_grid[0]}: "
+                   f"{res.observed:.3f}+-{res.standard_error:.3f} vs exact "
+                   f"{res.reference:.3f}")
     _report(9, "P[|etabar^a||etabar^b|] = 1 + kappa_2 G(a-b)/(2-kappa_2 G(0)) "
                "within max(10%, 3 SE) for |a-b| in {0,1,5}", ok,
             "; ".join(details))

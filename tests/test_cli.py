@@ -67,7 +67,7 @@ def test_cli_validate_kernel(capsys):
 
 def test_cli_green_d2_recurrent(capsys):
     rc = main(["green", json.dumps({"bcpp": {"d": 2, "lambda": 1.0}})])
-    assert rc == 3
+    assert rc == 2
     err = json.loads(capsys.readouterr().err)
     assert "recurrent" in err["message"]
 
@@ -138,8 +138,12 @@ def test_cli_dual_diagnostics_beside_artifacts(tmp_path, command, artifact):
     # too few kept replicas for a Hill index
     tail = {"hill_index": [None, None], "hill_index_below_2": [None, None],
             "top_1pct_share": diag["normalized_total_sq_tail"]["top_1pct_share"]}
+    # only a pass that records the densities reports their concentration
+    concentration = ({"density_concentration": diag["density_concentration"]}
+                     if command == "simulate" else {})
     assert diag == {"events": diag["events"], "truncated": diag["truncated"],
                     "peak_occupied": 13, "normalized_total_sq_tail": tail,
+                    **concentration,
                     "numpy": numpy.__version__, "scipy": scipy.__version__}
     assert diag["events"] > 0 and diag["truncated"] > 0
     assert all(0.0 < s <= 1.0 for s in tail["top_1pct_share"])
@@ -182,17 +186,74 @@ def test_cli_range_limit_exits_3(capsys):
     assert "Traceback" not in captured.err and not captured.out
 
 
-@pytest.mark.parametrize("cfg", [
-    {"bcpp": {"d": 1, "lambda": 1.0}, "initial": [{"x": [2000000]}]},
-    {"kernel": {"d": 1, "atoms": [{"p": 1.0, "v": [{"x": [256], "val": 1.0}]}]}},
-], ids=["site-out-of-range", "kernel-reach-256"])
-def test_cli_engine_refusal_exits_2(capsys, cfg):
-    # refused from the config alone, before any event
-    assert main(["simulate", json.dumps({**cfg, "t_grid": [1], "replicas": 1})]) == 2
+@pytest.mark.parametrize("command, cfg, error", [
+    ("simulate", {"bcpp": {"d": 1, "lambda": 1.0}, "initial": [{"x": [2000000]}],
+                  "t_grid": [1], "replicas": 1}, "EngineError"),
+    ("simulate", {"kernel": {"d": 1, "atoms": [
+        {"p": 1.0, "v": [{"x": [256], "val": 1.0}]}]},
+                  "t_grid": [1], "replicas": 1}, "EngineError"),
+    ("oracle-two-point", {"bcpp": {"d": 1, "lambda": 1.0},
+                          "initial": [{"x": [9]}], "box_radius": 4, "t": 1},
+     "FeynmanKacError"),
+    ("verify-cov", {"bcpp": {"d": 2, "lambda": 1.0}, "t": 10, "samples": 100},
+     "FeynmanKacError"),
+    ("verify-cov", {"bcpp": {"d": 3, "lambda": 0.3}, "t": 10, "samples": 100},
+     "DivergentHError"),
+    ("criterion", {"kernel": {"d": 3, "atoms": [
+        {"p": 0.5}, {"p": 0.5, "v": [{"x": [0, 0, 0], "val": 1.0}]}]}},
+     "DegenerateWalkError"),
+], ids=["site-out-of-range", "kernel-reach-256", "oracle-site-off-box",
+        "tilted-d2", "divergent-h", "degenerate-walk"])
+def test_cli_engine_refusal_exits_2(capsys, command, cfg, error):
+    # refused from the inputs, before any event or numerical work
+    assert main([command, json.dumps(cfg)]) == 2
     captured = capsys.readouterr()
     err = json.loads(captured.err)
-    assert err["error"] == "EngineError" and err["message"]
+    assert err["error"] == error and err["message"]
     assert "Traceback" not in captured.err and not captured.out
+
+
+def test_cli_green_box_not_converged_exits_3(capsys, monkeypatch):
+    import scipy.sparse.linalg
+    monkeypatch.setattr(scipy.sparse.linalg, "cg",
+                        lambda A, b, **kw: (numpy.zeros_like(b), 1))
+    cfg = {"bcpp": {"d": 3, "lambda": 1.0}, "method": "truncated_solve",
+           "resolution": 4}
+    assert main(["green", json.dumps(cfg)]) == 3
+    captured = capsys.readouterr()
+    err = json.loads(captured.err)
+    assert err["error"] == "ConvergenceError"
+    assert "did not converge" in err["message"]
+    assert "Traceback" not in captured.err and not captured.out
+
+
+def test_cli_density_concentration_matches_trajectories(tmp_path):
+    # the scaled quantiles over the replicas alive at each grid time, and
+    # the slope of the raw medians, recomputed from trajectories.csv
+    cfg = {"bcpp": {"d": 3, "lambda": 1.0}, "t_grid": [0, 1.0, 2.0, 4.0],
+           "replicas": 200, "seed": 6}
+    assert main(["simulate", json.dumps(cfg), "--output-dir",
+                 str(tmp_path)]) == 0
+    conc = json.loads((tmp_path / "diagnostics.json").read_text())[
+        "density_concentration"]
+    rows = numpy.genfromtxt(tmp_path / "trajectories.csv", delimiter=",",
+                            names=True)
+    grid = numpy.asarray(cfg["t_grid"], dtype=float)
+    # no replica is truncated: each has one row per grid time, in order
+    assert len(rows) == 200 * len(grid)
+    grid_index = numpy.arange(len(rows)) % len(grid)
+    for name in ("overlap", "rho_star"):
+        medians = []
+        for j, t in enumerate(grid):
+            live = (grid_index == j) & (rows["occupied"] > 0)
+            assert 0 < live.sum() <= 200
+            want = numpy.quantile(t ** 1.5 * rows[name][live], [0.5, 0.9, 0.99])
+            got = [conc[name][q][j] for q in ("q50", "q90", "q99")]
+            assert got == pytest.approx(want.tolist(), rel=1e-12, abs=0.0)
+            medians.append(numpy.median(rows[name][live]))
+        slope = numpy.polyfit(numpy.log(grid[1:]), numpy.log(medians[1:]), 1)[0]
+        assert conc[name]["median_slope"] == pytest.approx(slope, rel=1e-12)
+    assert conc["overlap"]["q50"][0] == 0.0 < conc["overlap"]["q50"][-1]
 
 
 def test_cli_verify_clt_writes_diagnostics(tmp_path):

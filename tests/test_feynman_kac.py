@@ -8,6 +8,7 @@ from linsys.engine import init_state, unpack_site
 from linsys.kernel import (Kernel, _l1_ball, kernel_moments, make_bcpp_kernel,
                            validate_kernel)
 from linsys import feynman_kac as fk
+from linsys import stats
 from linsys.walk import (WalkError, simulate_walk, survival_criterion,
                          walk_from_kernel)
 from conftest import (diagonal_step_kernel, random_single_offset_kernel,
@@ -383,16 +384,19 @@ def test_pair_chain_vs_oracle_random_g(rng):
         assert abs(est - target) <= 3 * se + 1e-3
 
 
-@pytest.mark.parametrize("initial", [[((0,), 1.0), ((1,), 1.0)],
-                                     [((0,), 2.0), ((3,), 0.5)]],
-                         ids=["unit-pair", "unequal-masses"])
-def test_pair_chain_histogram_sums_over_starts(initial):
+@pytest.mark.parametrize("kernel, initial", [
+    (BCPP1, [((0,), 1.0), ((1,), 1.0)]),
+    (BCPP1, [((0,), 2.0), ((3,), 0.5)]),
+    # the d=2 leg of the correctness triangle: pair chain = oracle
+    (make_bcpp_kernel(2, 1.0), [((0, 0), 1.0)]),
+], ids=["unit-pair", "unequal-masses", "d2-origin"])
+def test_pair_chain_histogram_sums_over_starts(kernel, initial):
     # each start's weighted endpoint mean adds to the histogram; dividing
     # by the count of all starts' samples put every cell 1/n^2 too low
     t = 0.4
-    sol = fk.oracle_two_point(BCPP1, initial, [t], 8)
+    sol = fk.oracle_two_point(kernel, initial, [t], 8)
     norm = sol.normalized(0)
-    vals, ses = fk.pair_chain_histogram(BCPP1, initial, t, 50_000, seed=23)
+    vals, ses = fk.pair_chain_histogram(kernel, initial, t, 50_000, seed=23)
     # the cells' summed variances bound the variance of their sum
     total_se = math.sqrt(sum(s * s for s in ses.values()))
     assert abs(sum(vals.values()) - norm.sum()) <= 4 * total_se
@@ -483,15 +487,16 @@ def test_tilted_estimator_with_delta0():
 
 
 def test_relative_motion_law():
-    rep = fk.relative_motion_check(BCPP3, 2.0, 60_000, seed=12)
-    assert rep.passed and rep.p_value > 0.01
-    neg = fk.relative_motion_check(BCPP3, 2.0, 60_000, seed=12,
-                                   walk_time_factor=1.0)
-    assert not neg.passed
+    rep = stats.relative_motion_check(BCPP3, 2.0, 60_000, seed=12)
+    assert rep.passed and rep.observed > 0.01
+    assert rep.notes["rule"] == "observed > reference"
+    neg = stats.relative_motion_check(BCPP3, 2.0, 60_000, seed=12,
+                                      walk_time_factor=1.0)
+    assert not neg.passed and neg.observed <= neg.reference
 
 
 def test_relative_motion_t_zero():
-    rep = fk.relative_motion_check(BCPP3, 0.0, 1000, seed=13)
+    rep = stats.relative_motion_check(BCPP3, 0.0, 1000, seed=13)
     assert rep.passed  # both laws are the point mass at the origin
 
 
@@ -702,9 +707,9 @@ def test_plain_estimate_golden():
 
 
 def test_relative_motion_golden():
-    rep = fk.relative_motion_check(BCPP3, 2.0, 20_000, seed=48)
-    assert (rep.dof, rep.cells) == (195, 196)
-    _assert_golden((rep.p_value, rep.statistic),
+    rep = stats.relative_motion_check(BCPP3, 2.0, 20_000, seed=48)
+    assert (rep.notes["dof"], rep.notes["cells"]) == (195, 196)
+    _assert_golden((rep.observed, rep.notes["statistic"]),
                    (0.9220401666913337, 167.6935073951351))
 
 

@@ -186,46 +186,44 @@ def test_covariance_check_runs_one_quadrature(monkeypatch):
 
 
 def test_covariance_check_paths_agree(small_ensemble):
-    res = stats.covariance_limit_check(BCPP3, ORIGIN3, ORIGIN3, 300.0,
-                                       20_000, seed=8, rel_tol=0.25,
-                                       summary=small_ensemble)
-    assert res.notes["ensemble"]["agree"]
+    res = stats.exact_second_moment_check(BCPP3, small_ensemble)
+    assert res.passed
+    # the exact E|etabar_t|^2 at the first grid time
+    assert abs(res.reference - 1.75514) < 1e-5
 
 
 def test_covariance_cross_check_uses_initial_data(monkeypatch):
     # two unit particles: E|etabar_t|^2 sums the exact moments over the
     # pair offsets 0 (weight 2) and +-e1, about 3.2 times the one-particle
-    # value, and one tilted walk (no second one) serves the check
+    # value, and no tilted walk serves the check
     s = run_ensemble(BCPP3, [(ORIGIN3, 1.0), ((1, 0, 0), 1.0)], [1.0], 2000,
                      base_seed=1616)
     walks = []
     estimate = fk.fk3_limit_estimate
     monkeypatch.setattr(fk, "fk3_limit_estimate",
                         lambda *a, **kw: walks.append(a) or estimate(*a, **kw))
-    res = stats.covariance_limit_check(BCPP3, ORIGIN3, ORIGIN3, 20.0, 200,
-                                       seed=17, summary=s)
-    ens = res.notes["ensemble"]
-    assert ens["agree"], ens
-    assert len(walks) == 1
+    res = stats.exact_second_moment_check(BCPP3, s)
+    assert res.passed, res
+    assert len(walks) == 0
     one = fk.exp_local_time_moment(BCPP3, 1.0)
     side = fk.exp_local_time_moment(BCPP3, 1.0, start=(1, 0, 0))
-    assert math.isclose(ens["exact"], 2 * one + 2 * side, rel_tol=1e-12)
+    assert math.isclose(res.reference, 2 * one + 2 * side, rel_tol=1e-12)
 
 
 def test_covariance_cross_check_records_tail_health(small_ensemble):
     # for the record only: the Hill index of |etabar_t|^2 and the top 1%'s
-    # share of its sum, at the cross-check's grid time
-    res = stats.covariance_limit_check(BCPP3, ORIGIN3, ORIGIN3, 20.0, 200,
-                                       seed=19, summary=small_ensemble)
-    ens = res.notes["ensemble"]
+    # share of its sum, at the tested grid time
+    res = stats.exact_second_moment_check(BCPP3, small_ensemble)
     rows = small_ensemble.rows
     sq = rows.values[:, 0, rows.names.index("normalized_total_sq")]
     assert len(sq) == 4000 and small_ensemble.truncated == 0
-    assert ens["hill_index"] == fk.hill_index(sq[sq > 0.0])
-    assert ens["top_1pct_share"] == pytest.approx(
+    assert res.notes["hill_index"] == fk.hill_index(sq[sq > 0.0])
+    assert res.notes["top_1pct_share"] == pytest.approx(
         np.sort(sq)[-40:].sum() / sq.sum(), rel=1e-12)
-    assert 0.01 < ens["top_1pct_share"] < 1.0 and ens["hill_index"] > 0.0
-    assert ens["agree"] == (abs(ens["mean_sq"] - ens["exact"]) <= 3 * ens["se"])
+    assert 0.01 < res.notes["top_1pct_share"] < 1.0
+    assert res.notes["hill_index"] > 0.0
+    assert res.passed == (abs(res.observed - res.reference)
+                          <= 3 * res.standard_error)
     assert math.isnan(stats._top_share(np.zeros(5), 0.01))
 
 
@@ -234,9 +232,6 @@ def test_second_moment_check(small_ensemble):
     assert res.passed
     assert res.notes["monotone_ok"] and res.notes["upper_ok"]
     assert abs(res.notes["h0"] - 8.663) < 2e-2
-    # reported, not gated: the exact E|etabar_t|^2 at the grid times
-    assert abs(res.notes["exact_means"][0] - 1.75514) < 1e-5
-    assert len(res.notes["exact_means"]) == len(small_ensemble.t_grid)
 
 
 def test_second_moment_check_runs_one_quadrature(monkeypatch, small_ensemble):
@@ -289,17 +284,6 @@ def test_second_moment_check_fails_on_truncated_ensemble(truncated_ensemble):
 
 
 def test_covariance_cross_check_flags_truncated_ensemble(truncated_ensemble):
-    res = stats.covariance_limit_check(BCPP3, ORIGIN3, ORIGIN3, 20.0, 500,
-                                       seed=8, rel_tol=0.25,
-                                       summary=truncated_ensemble)
-    ens = res.notes["ensemble"]
-    assert ens["truncated"] == truncated_ensemble.truncated
-    assert ens["agree"] is False
+    res = stats.exact_second_moment_check(BCPP3, truncated_ensemble)
+    assert res.notes["truncated"] == truncated_ensemble.truncated
     assert not res.passed
-    # with the closed-form comparison inside its tolerance, the failed
-    # cross-check alone fails the check
-    wide = stats.covariance_limit_check(BCPP3, ORIGIN3, ORIGIN3, 20.0, 500,
-                                        seed=8, rel_tol=1.0,
-                                        summary=truncated_ensemble)
-    assert abs(wide.observed - wide.reference) <= wide.tolerance
-    assert not wide.passed
